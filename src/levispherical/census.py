@@ -7,9 +7,9 @@ I = D_L(w) (mode "full-descent-only").  Records stream out as JSON lines
     {"type": "F4", "w": [...], "len": 13, "levi": [...], "d": [...],
      "spherical": true}
 
-in a fixed order: elements by length then lexicographic matrix encoding,
-subsets of the descent set in binary-counting order.  Reruns are
-byte-identical.
+in a fixed order: elements by length, then in increasing lexicographic
+order of w(rho) in fundamental-weight coordinates, then subsets of the
+descent set in binary-counting order.  Reruns are byte-identical.
 
 cross_check validates records against explicit character computations: a
 spherical record must be multiplicity-free for every weight of the battery
@@ -143,7 +143,7 @@ def _classify_elements(
 
 def _census_chunk(args) -> tuple[list[str], dict]:
     """Worker body: classify a contiguous chunk of elements."""
-    type_str, levi_mode, matrices = args
+    type_str, levi_mode, rho_images = args
     spec = build_root_system(type_str)
     lines: list[str] = []
     stats = {
@@ -152,7 +152,7 @@ def _census_chunk(args) -> tuple[list[str], dict]:
         "toric": 0,
         "by_length": {},
     }
-    elements = (WeylElement(rows) for rows in matrices)
+    elements = (WeylElement(spec, wt) for wt in rho_images)
     for rec, first, toric in _classify_elements(spec, elements, levi_mode):
         lines.append(rec.to_json_line())
         per = stats["by_length"].setdefault(
@@ -168,6 +168,17 @@ def _census_chunk(args) -> tuple[list[str], dict]:
         if toric:
             stats["toric"] += 1
     return lines, stats
+
+
+def census_order(spec: RootSystemSpec, cap: int) -> int:
+    """|W|, or CapExceeded if a census of it would pass the cap."""
+    order = classical_group_order(spec)
+    if order > cap:
+        raise CapExceeded(
+            f"group of type {spec.cartan_type} has order {order}, "
+            f"over the cap {cap}; raise the cap to run this census"
+        )
+    return order
 
 
 def run_census(
@@ -190,12 +201,7 @@ def run_census(
     """
     if levi_mode not in LEVI_MODES:
         raise ValueError(f"levi_mode must be one of {LEVI_MODES}")
-    order = classical_group_order(spec)
-    if order > cap:
-        raise CapExceeded(
-            f"group of type {spec.cartan_type} has order {order}, "
-            f"over the cap {cap}; raise the cap to run this census"
-        )
+    order = census_order(spec, cap)
 
     summary = CensusSummary(
         cartan_type=spec.cartan_type,
@@ -222,17 +228,15 @@ def run_census(
             for k in per:
                 agg[k] += per[k]
 
-    elements = list(enumerate_group(spec, cap))
+    rho_images = [w.rho_image for w in enumerate_group(spec, cap)]
 
     if jobs <= 1:
-        absorb(*_census_chunk((str(spec.cartan_type), levi_mode,
-                               [w.rows for w in elements])))
+        absorb(*_census_chunk((str(spec.cartan_type), levi_mode, rho_images)))
     else:
-        matrices = [w.rows for w in elements]
-        chunk_size = max(1, (len(matrices) + jobs * 4 - 1) // (jobs * 4))
+        chunk_size = max(1, (len(rho_images) + jobs * 4 - 1) // (jobs * 4))
         chunks = [
-            (str(spec.cartan_type), levi_mode, matrices[i : i + chunk_size])
-            for i in range(0, len(matrices), chunk_size)
+            (str(spec.cartan_type), levi_mode, rho_images[i : i + chunk_size])
+            for i in range(0, len(rho_images), chunk_size)
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for lines, stats in pool.map(_census_chunk, chunks):
@@ -294,7 +298,8 @@ def cross_check(
     witness within the budget is counted as inconclusive, not an error.
 
     Sampling is deterministic given the seed.  The default rate is 1.0 for
-    groups of at most 500 elements and 0.05 above that.
+    groups of at most 500 elements and 0.05 above that; a rate outside
+    [0, 1] is rejected with ValueError.
     """
     battery = [tuple(lam) for lam in battery]
     for lam in battery:
@@ -302,6 +307,8 @@ def cross_check(
             raise ValueError(f"battery weight {lam} is not dominant")
     if sample is None:
         sample = 1.0 if classical_group_order(spec) <= 500 else 0.05
+    if not 0 <= sample <= 1:
+        raise ValueError(f"cross-check sample rate {sample} is not in [0, 1]")
     rng = random.Random(seed)
     report = CrossCheckReport(
         records_seen=0,

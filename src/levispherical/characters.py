@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Optional
 
-from .rootsys import RootSystemSpec, validate_node_subset
+from .rootsys import RootSystemSpec, is_int, validate_node_subset, weight_reflection
 from .sphericality import LeviNotInDescents
 from .weyl import WeylElement, left_descents, longest_parabolic, reduced_word
 
@@ -151,7 +151,7 @@ class Witness(NamedTuple):
 
 def _check_weight(spec: RootSystemSpec, wt) -> Weight:
     wt = tuple(wt)
-    if len(wt) != spec.rank or not all(isinstance(x, int) for x in wt):
+    if len(wt) != spec.rank or not all(is_int(x) for x in wt):
         raise ValueError(
             f"weight {wt!r} is not an integer vector of rank {spec.rank}"
         )
@@ -161,13 +161,9 @@ def _check_weight(spec: RootSystemSpec, wt) -> Weight:
 def reflect_weight(spec: RootSystemSpec, wt, i: int) -> Weight:
     """s_i(wt) = wt - wt_i * alpha_i, in fundamental-weight coordinates."""
     wt = _check_weight(spec, wt)
-    if not 1 <= i <= spec.rank:
+    if not (is_int(i) and 1 <= i <= spec.rank):
         raise ValueError(f"node index {i} out of range 1..{spec.rank}")
-    k = wt[i - 1]
-    if k == 0:
-        return wt
-    arow = spec.cartan_matrix[i - 1]
-    return tuple(x - k * a for x, a in zip(wt, arow))
+    return weight_reflection(spec, wt, i - 1)
 
 
 def is_dominant(wt: Weight) -> bool:
@@ -227,7 +223,7 @@ def _char_along_word(
         terms = _apply_op(spec.cartan_matrix[i - 1], i - 1, terms, max_terms)
     return terms
 
-# Demazure characters keyed by (spec, lam, matrix): the same w recurs with
+# Demazure characters keyed by (lam, w): the same w recurs with
 # many Levi subsets during censuses, and the character does not depend on I.
 _CHAR_CACHE: dict = {}
 _CHAR_CACHE_LIMIT = 4096
@@ -246,7 +242,7 @@ def _char_terms(
     w: WeylElement,
     max_terms: int | None = None,
 ) -> dict[Weight, int]:
-    key = (spec, lam, w.rows)
+    key = (lam, w)
     hit = _CHAR_CACHE.get(key)
     if hit is not None:
         return hit
@@ -294,7 +290,11 @@ def levi_irreducible_char(spec: RootSystemSpec, mu, levi) -> WeightPoly:
     if hit is None:
         word = reduced_word(spec, longest_parabolic(spec, subset))
         hit = _char_along_word(spec, mu, word)
-        assert hit.get(mu) == 1, (mu, subset)
+        if hit.get(mu) != 1:
+            raise RuntimeError(
+                f"levi character of {mu} over {list(subset)} has top "
+                f"coefficient {hit.get(mu, 0)}, not 1"
+            )
         if len(_LEVI_CHAR_CACHE) >= _LEVI_CHAR_CACHE_LIMIT:
             _LEVI_CHAR_CACHE.clear()
         _LEVI_CHAR_CACHE[key] = hit
@@ -417,7 +417,16 @@ def witness_search(
     Scans dominant weights with coordinates <= coeff_cap in graded-lex order
     and returns the first witness found.  Exhausting the budget returns None,
     which is inconclusive: it is NOT a certificate of multiplicity-freeness.
+    A negative coeff_cap, or a lambda_budget or term_ceiling below 1, would
+    try nothing and is rejected with ValueError.
     """
+    if coeff_cap < 0:
+        raise ValueError(f"witness coefficient cap {coeff_cap} is negative")
+    if lambda_budget < 1 or term_ceiling < 1:
+        raise ValueError(
+            f"witness lambda budget {lambda_budget} and term ceiling "
+            f"{term_ceiling} must both be at least 1"
+        )
     subset = validate_node_subset(spec, levi)
     descents = left_descents(spec, w)
     offending = [i for i in subset if i not in descents]

@@ -262,6 +262,8 @@ def _cmd_census(args) -> int:
     out_file = None
     try:
         if args.out:
+            # Refuse before open() truncates a file the run would not fill.
+            census_mod.census_order(spec, cap)
             out_file = open(args.out, "w")
             sink = out_file
         else:

@@ -144,6 +144,15 @@ def _positive_root_count(ct: CartanType) -> int:
     }[ct.family]
 
 
+def root_reflection(cartan: Matrix, v: RootVector, j: int) -> RootVector:
+    """s_j(v) for v in simple-root coordinates, j 0-based and unchecked.
+
+    Only coordinate j changes: c_j -> c_j - sum_k C[k][j] c_k.
+    """
+    cj = v[j] - sum(cartan[k][j] * c for k, c in enumerate(v) if c)
+    return v[:j] + (cj,) + v[j + 1 :]
+
+
 def _close_positive_roots(cartan: Matrix) -> tuple[RootVector, ...]:
     """All positive roots, by reflection closure from the simple roots."""
     n = len(cartan)
@@ -154,11 +163,9 @@ def _close_positive_roots(cartan: Matrix) -> tuple[RootVector, ...]:
         fresh: list[RootVector] = []
         for v in frontier:
             for j in range(n):
-                # s_j changes only coordinate j: c_j -> c_j - sum_k C[k][j] c_k.
-                cj = v[j] - sum(cartan[k][j] * v[k] for k in range(n))
-                if cj < 0:
+                w = root_reflection(cartan, v, j)
+                if w[j] < 0:
                     continue
-                w = v[:j] + (cj,) + v[j + 1 :]
                 if w not in found:
                     found.add(w)
                     fresh.append(w)
@@ -187,22 +194,16 @@ class RootSystemSpec:
         return frozenset(self.positive_roots)
 
     @cached_property
-    def column_neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """For each node j (0-based): the (k, C[k][j]) with k != j, entry nonzero.
+    def weight_bonds(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each node j (0-based): the (k, C[j][k]) with k != j, entry nonzero.
 
-        This is the sparse data needed to multiply by a simple reflection.
+        alpha_j in weight coordinates is row j of the Cartan matrix, so these
+        are the coordinates other than j that s_j changes on a weight.
         """
-        n = self.rank
-        out = []
-        for j in range(n):
-            out.append(
-                tuple(
-                    (k, self.cartan_matrix[k][j])
-                    for k in range(n)
-                    if k != j and self.cartan_matrix[k][j] != 0
-                )
-            )
-        return tuple(out)
+        return tuple(
+            tuple((k, a) for k, a in enumerate(row) if k != j and a)
+            for j, row in enumerate(self.cartan_matrix)
+        )
 
     @cached_property
     def height_functional(self) -> tuple[int, ...]:
@@ -252,7 +253,11 @@ def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
 def _build(ct: CartanType) -> RootSystemSpec:
     cartan = _cartan_matrix(ct)
     roots = _close_positive_roots(cartan)
-    assert len(roots) == _positive_root_count(ct), str(ct)
+    if len(roots) != _positive_root_count(ct):
+        raise RuntimeError(
+            f"root closure of {ct} found {len(roots)} positive roots, "
+            f"formula says {_positive_root_count(ct)}"
+        )
     return RootSystemSpec(ct, cartan, roots)
 
 
@@ -268,15 +273,34 @@ def root_support(v: RootVector) -> frozenset[int]:
     return frozenset(i + 1 for i, c in enumerate(v) if c != 0)
 
 
+def is_int(x) -> bool:
+    """An int proper: bool is an int subclass but never an index or coordinate."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def weight_reflection(
+    spec: RootSystemSpec, wt: tuple[int, ...], j: int
+) -> tuple[int, ...]:
+    """s_j(wt) = wt - wt_j * alpha_j in weight coordinates, j 0-based and unchecked."""
+    k = wt[j]
+    if not k:
+        return wt
+    out = list(wt)
+    out[j] = -k
+    for i, a in spec.weight_bonds[j]:
+        out[i] -= k * a
+    return tuple(out)
+
+
 def validate_node_subset(spec: RootSystemSpec, nodes) -> tuple[int, ...]:
     """Sorted, deduplicated node tuple; rejects indices outside 1..rank."""
-    out = sorted(set(nodes))
-    bad = [i for i in out if not (isinstance(i, int) and 1 <= i <= spec.rank)]
+    nodes = list(nodes)
+    bad = [i for i in nodes if not (is_int(i) and 1 <= i <= spec.rank)]
     if bad:
         raise ValueError(
             f"node indices {bad} out of range 1..{spec.rank} for {spec.cartan_type}"
         )
-    return tuple(out)
+    return tuple(sorted(set(nodes)))
 
 
 def phi_plus_of_subset(spec: RootSystemSpec, nodes) -> frozenset[RootVector]:

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from .rootsys import CartanType, RootSystemSpec, validate_node_subset
 from .weyl import (
     WeylElement,
+    apply_word,
     is_standard_coxeter,
     left_descents,
-    length,
     longest_parabolic,
-    multiply,
     reduced_word,
 )
 
@@ -89,14 +88,14 @@ def classify(spec: RootSystemSpec, w: WeylElement, levi) -> ClassificationResult
     if offending:
         raise LeviNotInDescents(offending, descents)
 
-    w0i = longest_parabolic(spec, subset)
+    w0i_word = reduced_word(spec, longest_parabolic(spec, subset))
     # w_0(I) is an involution, so d = w_0(I)^{-1} w = w_0(I) w.
-    d = multiply(spec, w0i, w)
+    d = WeylElement(spec, apply_word(spec, w0i_word, w.rho_image))
 
     w_word = reduced_word(spec, w)
     d_word = reduced_word(spec, d)
     len_w = len(w_word)
-    len_w0i = length(spec, w0i)
+    len_w0i = len(w0i_word)
     len_d = len(d_word)
     if len_w != len_w0i + len_d:
         raise LengthAdditivityError(

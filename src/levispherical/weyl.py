@@ -1,36 +1,45 @@
-"""Exact Weyl-group arithmetic on integer matrices.
+"""Exact Weyl-group arithmetic on the orbit of rho.
 
-A group element w is represented by the integer matrix of its action on the
-root lattice in the simple-root basis: column i is w(alpha_i).  Two elements
-are equal iff their matrices are equal, multiplication is matrix
-multiplication, and every computation below is integer-exact.
+A group element w is represented by the integer vector w(rho) in
+fundamental-weight coordinates.  rho = (1, ..., 1) is regular, so w is
+determined by w(rho), and three facts carry all the word machinery
+(Casselman, "Machine calculations in Weyl groups", 1994; the numbers game
+of Bjorner-Brenti, "Combinatorics of Coxeter Groups", ch. 4):
 
-The generator matrices act sparsely: multiplying by s_j on the right touches
-only column j and its Dynkin neighbors, and on the left only row j.  All the
-word machinery reduces to descent stripping:
+* i is a left descent of w  iff  coordinate i of w(rho) is negative,
+* (s_i w)(rho) is the weight reflection s_i applied to w(rho),
+* so length(s_i w) = length(w) + 1  iff  coordinate i is positive.
 
-* i is a right descent of w  iff  column i of M(w) is a negative root,
-* i is a left  descent of w  iff  column i of M(w^{-1}) is a negative root,
+The canonical reduced word of w strips the smallest negative coordinate,
+i.e. the smallest left descent, until rho is reached.  A word acts on a
+weight letter by letter from its right end, which gives evaluation of
+words, products and inverses; no matrix is ever multiplied.
 
-and a root vector is negative iff any coordinate is negative (roots are
-all-nonnegative or all-nonpositive).  Stripping right descents of w yields
-w^{-1} as an explicit product of generators, with no linear algebra; the
-canonical reduced word of w then strips the smallest left descent first.
-
-Group enumeration is breadth-first over right multiplication, which visits
-elements in nondecreasing length order; each layer is emitted in
-lexicographic matrix order so the stream is deterministic.
+Group enumeration is breadth-first over left multiplication, which visits
+elements layer by layer in length order; each layer is emitted in
+lexicographic w(rho) order so the stream is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Iterable, Iterator
 
-from .rootsys import Matrix, RootSystemSpec, RootVector, validate_node_subset
+from .rootsys import (
+    Matrix,
+    RootSystemSpec,
+    RootVector,
+    is_int,
+    root_reflection,
+    validate_node_subset,
+    weight_reflection,
+)
 
 DEFAULT_ENUM_CAP = 2_000_000
+
+Weight = tuple[int, ...]
 
 
 class WordLetterError(ValueError):
@@ -43,219 +52,152 @@ class CapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl-group element, identified by its root-lattice matrix."""
+    """A Weyl-group element, identified by w(rho) in weight coordinates."""
 
-    rows: Matrix
+    spec: RootSystemSpec
+    rho_image: Weight
 
     def __repr__(self) -> str:
-        return f"WeylElement({self.rows!r})"
+        return f"WeylElement({self.spec.cartan_type}, {self.rho_image!r})"
+
+    @cached_property
+    def rows(self) -> Matrix:
+        """Matrix of w on the root lattice, simple-root basis: column j is w(alpha_j).
+
+        Built on first use from the canonical word; nothing in the package
+        computes with it.
+        """
+        cartan = self.spec.cartan_matrix
+        word = _word(self.spec, self.rho_image)
+        n = len(cartan)
+        columns = []
+        for j in range(n):
+            v = tuple(int(k == j) for k in range(n))
+            for i in reversed(word):
+                v = root_reflection(cartan, v, i - 1)
+            columns.append(v)
+        return tuple(zip(*columns))
 
 
-def _identity_rows(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def apply_word(spec: RootSystemSpec, word: Iterable[int], wt: Weight) -> Weight:
+    """s_{i1} s_{i2} ... s_{ik} (wt): the right end of the word acts first.
 
-
-def _right_mul(spec: RootSystemSpec, rows: Matrix, j: int) -> Matrix:
-    """M * S_j.  Touches column j and its Dynkin neighbors only."""
-    nbrs = spec.column_neighbors[j]
-    out = []
-    for row in rows:
-        vj = row[j]
-        if vj == 0:
-            out.append(row)
-            continue
-        r = list(row)
-        r[j] = -vj
-        for k, c in nbrs:
-            r[k] -= c * vj
-        out.append(tuple(r))
-    return tuple(out)
-
-
-def _left_mul(spec: RootSystemSpec, rows: Matrix, j: int) -> Matrix:
-    """S_j * M.  Replaces row j with -row_j - sum_k C[k][j] row_k."""
-    new = [-x for x in rows[j]]
-    for k, c in spec.column_neighbors[j]:
-        rk = rows[k]
-        for idx in range(len(new)):
-            new[idx] -= c * rk[idx]
-    return rows[:j] + (tuple(new),) + rows[j + 1 :]
-
-
-def _min_negative_column(rows: Matrix) -> int | None:
-    """Smallest column index holding a negative entry; None iff identity-like.
-
-    A column is the image of a simple root, so a negative entry marks a
-    right descent.  An element with no right descent is the identity.
+    Letters are 1-based and not checked here.
     """
-    n = len(rows)
-    for c in range(n):
-        for row in rows:
-            if row[c] < 0:
-                return c
-    return None
+    for i in reversed(tuple(word)):
+        wt = weight_reflection(spec, wt, i - 1)
+    return wt
 
 
-# Memo tables keyed by (spec, matrix).  Specs are interned, so the key hash
-# is cheap.  The tables are cleared wholesale if they grow past the limit;
-# entries are pure functions of the key, so clearing only costs recomputation.
-_CACHE_LIMIT = 1_500_000
-_INV_CACHE: dict = {}
-_WORD_CACHE: dict = {}
-_W0_CACHE: dict = {}
-
-
-def _cache_put(cache: dict, key, value) -> None:
-    if len(cache) >= _CACHE_LIMIT:
-        cache.clear()
-    cache[key] = value
-
-
-def clear_caches() -> None:
-    _INV_CACHE.clear()
-    _WORD_CACHE.clear()
-    _W0_CACHE.clear()
-
-
-def _inverse_rows(spec: RootSystemSpec, rows: Matrix) -> Matrix:
-    """M(w^{-1}), by stripping right descents: w s_{j1} ... s_{jk} = e."""
-    key = (spec, rows)
-    hit = _INV_CACHE.get(key)
-    if hit is not None:
-        return hit
-    v = rows
-    inv = _identity_rows(spec.rank)
-    while (j := _min_negative_column(v)) is not None:
-        v = _right_mul(spec, v, j)
-        inv = _right_mul(spec, inv, j)
-    _cache_put(_INV_CACHE, key, inv)
-    return inv
-
-
-def _canonical_word(spec: RootSystemSpec, rows: Matrix) -> tuple[int, ...]:
-    """The reduced word that strips the smallest left descent first."""
-    key = (spec, rows)
-    hit = _WORD_CACHE.get(key)
-    if hit is not None:
-        return hit
-    # Left descents of w are right descents of w^{-1}; peeling s_i off the
-    # left of w peels it off the right of w^{-1}.
-    v = _inverse_rows(spec, rows)
+def _word(spec: RootSystemSpec, wt: Weight) -> tuple[int, ...]:
+    """Canonical reduced word of the w with w(rho) = wt."""
     letters = []
-    while (j := _min_negative_column(v)) is not None:
+    while True:
+        for j, c in enumerate(wt):
+            if c < 0:
+                break
+        else:
+            return tuple(letters)
         letters.append(j + 1)
-        v = _right_mul(spec, v, j)
-    word = tuple(letters)
-    _cache_put(_WORD_CACHE, key, word)
-    return word
+        wt = weight_reflection(spec, wt, j)
+
+
+def _rho(spec: RootSystemSpec) -> Weight:
+    return (1,) * spec.rank
 
 
 def identity(spec: RootSystemSpec) -> WeylElement:
-    return WeylElement(_identity_rows(spec.rank))
+    return WeylElement(spec, _rho(spec))
 
 
 def simple_reflection(spec: RootSystemSpec, i: int) -> WeylElement:
-    if not 1 <= i <= spec.rank:
+    if not (is_int(i) and 1 <= i <= spec.rank):
         raise WordLetterError(f"generator index {i} out of range 1..{spec.rank}")
-    return WeylElement(_right_mul(spec, _identity_rows(spec.rank), i - 1))
+    return WeylElement(spec, weight_reflection(spec, _rho(spec), i - 1))
 
 
 def from_word(spec: RootSystemSpec, word: Iterable[int]) -> WeylElement:
     """Evaluate a word in the generators, s_{i1} s_{i2} ... s_{ik}."""
-    rows = _identity_rows(spec.rank)
+    word = tuple(word)
     for pos, letter in enumerate(word, 1):
-        if not (isinstance(letter, int) and 1 <= letter <= spec.rank):
+        if not (is_int(letter) and 1 <= letter <= spec.rank):
             raise WordLetterError(
                 f"letter {letter!r} at position {pos} out of range 1..{spec.rank}"
             )
-        rows = _right_mul(spec, rows, letter - 1)
-    return WeylElement(rows)
+    return WeylElement(spec, apply_word(spec, word, _rho(spec)))
 
 
 def multiply(spec: RootSystemSpec, u: WeylElement, v: WeylElement) -> WeylElement:
-    """The product uv (matrix product; actions compose left to right)."""
-    n = spec.rank
-    a, b = u.rows, v.rows
+    """The product uv: the word of u acting on v(rho)."""
     return WeylElement(
-        tuple(
-            tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
-            for r in range(n)
-        )
+        spec, apply_word(spec, _word(spec, u.rho_image), v.rho_image)
     )
 
 
 def inverse(spec: RootSystemSpec, w: WeylElement) -> WeylElement:
-    return WeylElement(_inverse_rows(spec, w.rows))
+    """w^{-1}: the reversed word of w acting on rho."""
+    return WeylElement(
+        spec, apply_word(spec, _word(spec, w.rho_image)[::-1], _rho(spec))
+    )
 
 
 def length(spec: RootSystemSpec, w: WeylElement) -> int:
     """Coxeter length, as the length of the canonical reduced word."""
-    return len(_canonical_word(spec, w.rows))
+    return len(_word(spec, w.rho_image))
 
 
 def reduced_word(spec: RootSystemSpec, w: WeylElement) -> tuple[int, ...]:
     """Canonical reduced word: repeatedly strip the smallest left descent."""
-    return _canonical_word(spec, w.rows)
+    return _word(spec, w.rho_image)
 
 
 def support(spec: RootSystemSpec, w: WeylElement) -> frozenset[int]:
     """Generators occurring in a reduced word (independent of the word)."""
-    return frozenset(_canonical_word(spec, w.rows))
+    return frozenset(_word(spec, w.rho_image))
 
 
 def left_descents(spec: RootSystemSpec, w: WeylElement) -> frozenset[int]:
-    """{i : length(s_i w) < length(w)} = {i : w^{-1} alpha_i < 0}."""
-    inv = _inverse_rows(spec, w.rows)
-    n = spec.rank
-    return frozenset(
-        c + 1 for c in range(n) if any(inv[r][c] < 0 for r in range(n))
-    )
+    """{i : length(s_i w) < length(w)}: the negative coordinates of w(rho)."""
+    return frozenset(j + 1 for j, c in enumerate(w.rho_image) if c < 0)
 
 
 def left_inversions(spec: RootSystemSpec, w: WeylElement) -> frozenset[RootVector]:
     """Phi^+ intersect w(Phi^-): positive roots sent negative by w^{-1}."""
-    inv = _inverse_rows(spec, w.rows)
-    n = spec.rank
+    cartan = spec.cartan_matrix
+    # w^{-1} = s_ik ... s_i1, so the first letter of w's word acts first.
+    word = [i - 1 for i in _word(spec, w.rho_image)]
     out = []
     for alpha in spec.positive_roots:
-        # Image coordinates, top down; the first nonzero one decides the sign.
-        for r in range(n):
-            s = sum(inv[r][k] * alpha[k] for k in range(n) if alpha[k])
-            if s:
-                if s < 0:
-                    out.append(alpha)
-                break
+        v = alpha
+        for j in word:
+            v = root_reflection(cartan, v, j)
+        if any(c < 0 for c in v):
+            out.append(alpha)
     return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def _longest_parabolic(spec: RootSystemSpec, subset: tuple[int, ...]) -> WeylElement:
+    # Keyed by (spec, validated subset): at most 2**rank entries per type.
+    wt = _rho(spec)
+    while (j := next((i - 1 for i in subset if wt[i - 1] > 0), None)) is not None:
+        wt = weight_reflection(spec, wt, j)
+    return WeylElement(spec, wt)
+
+
+def clear_caches() -> None:
+    _longest_parabolic.cache_clear()
 
 
 def longest_parabolic(spec: RootSystemSpec, nodes) -> WeylElement:
     """The longest element w_0(I) of the standard parabolic subgroup W_I.
 
-    Greedy ascent: while some i in I is not a left descent, left-multiply by
-    s_i (smallest such i first).  Each step raises the length by one, so the
-    walk stops at the unique element of W_I with all of I as descents.
+    Greedy ascent from rho: while some i in I is not a left descent,
+    left-multiply by s_i (smallest such i first).  Each step raises the
+    length by one, so the walk stops at the unique element of W_I with all
+    of I as descents.
     """
-    subset = validate_node_subset(spec, nodes)
-    key = (spec, subset)
-    hit = _W0_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n = spec.rank
-    rows = _identity_rows(n)
-    inv = rows
-    js = [i - 1 for i in subset]
-    progressed = True
-    while progressed:
-        progressed = False
-        for j in js:
-            if not any(inv[r][j] < 0 for r in range(n)):
-                rows = _left_mul(spec, rows, j)
-                inv = _right_mul(spec, inv, j)
-                progressed = True
-                break
-    result = WeylElement(rows)
-    _cache_put(_W0_CACHE, key, result)
-    return result
+    return _longest_parabolic(spec, validate_node_subset(spec, nodes))
 
 
 def is_standard_coxeter(spec: RootSystemSpec, d: WeylElement) -> bool:
@@ -264,7 +206,7 @@ def is_standard_coxeter(spec: RootSystemSpec, d: WeylElement) -> bool:
     Equivalent test: length(d) == |support(d)|.  The identity passes with
     0 == 0; a standard Coxeter element of full support has length = rank.
     """
-    word = _canonical_word(spec, d.rows)
+    word = _word(spec, d.rho_image)
     return len(word) == len(set(word))
 
 
@@ -284,52 +226,36 @@ def classical_group_order(spec: RootSystemSpec) -> int:
     return 12  # G2
 
 
-def _bfs_rows(
-    spec: RootSystemSpec, cap: int
-) -> Iterator[tuple[Matrix, Matrix]]:
-    """(matrix, inverse matrix) pairs in length order, priming the inverse memo."""
-    n = spec.rank
-    ident = _identity_rows(n)
-    seen = {ident}
-    count = 1
-    layer = [(ident, ident)]
-    yield ident, ident
-    while layer:
-        fresh = []
-        for rows, inv in layer:
-            for j in range(n):
-                r2 = _right_mul(spec, rows, j)
-                if r2 in seen:
-                    continue
-                count += 1
-                if count > cap:
-                    raise CapExceeded(
-                        f"group of type {spec.cartan_type} exceeds cap {cap}; "
-                        f"raise the cap to enumerate it"
-                    )
-                seen.add(r2)
-                # (w s_j)^{-1} = s_j w^{-1}
-                fresh.append((r2, _left_mul(spec, inv, j)))
-        fresh.sort(key=lambda pair: pair[0])
-        for rows, inv in fresh:
-            _cache_put(_INV_CACHE, (spec, rows), inv)
-            yield rows, inv
-        layer = fresh
-
-
 def enumerate_group(
     spec: RootSystemSpec, cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[WeylElement]:
     """Every group element exactly once, in nondecreasing length order.
 
-    Within a length layer, elements come in lexicographic matrix order, so
-    the stream is deterministic.  Raises CapExceeded as soon as the group is
-    seen to have more than cap elements; nothing is silently truncated.
+    Within a length layer, elements come in increasing lexicographic order
+    of w(rho), so the stream is deterministic.  Raises CapExceeded as soon
+    as a layer takes the count past cap; nothing is silently truncated.
     """
-    count = 0
-    for rows, _inv in _bfs_rows(spec, cap):
-        count += 1
-        yield WeylElement(rows)
+    n = spec.rank
+    layer = [_rho(spec)]
+    count = 1
+    while layer:
+        for wt in layer:
+            yield WeylElement(spec, wt)
+        # s_j raises the length exactly when coordinate j is positive, so
+        # the next layer is reached from this one alone: no global seen-set.
+        fresh = {
+            weight_reflection(spec, wt, j)
+            for wt in layer
+            for j in range(n)
+            if wt[j] > 0
+        }
+        count += len(fresh)
+        if count > cap:
+            raise CapExceeded(
+                f"group of type {spec.cartan_type} exceeds cap {cap}; "
+                f"raise the cap to enumerate it"
+            )
+        layer = sorted(fresh)
     if count != classical_group_order(spec):
         raise RuntimeError(
             f"enumeration of {spec.cartan_type} found {count} elements, "

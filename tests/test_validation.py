@@ -1,0 +1,106 @@
+"""Input validation, budget bounds and internal invariants."""
+
+import pytest
+
+from levispherical import (
+    WordLetterError,
+    classify,
+    cross_check,
+    demazure_char,
+    from_word,
+    levi_irreducible_char,
+    witness_search,
+)
+from levispherical import characters, rootsys
+from levispherical.cli import main
+from conftest import spec_of
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_census_cap_refusal_keeps_out_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("LEVISPHERICAL_ENUM_CAP", raising=False)
+    target = tmp_path / "records.jsonl"
+    target.write_text("earlier records\n")
+    code, out, err = run_cli(capsys, "census", "--type", "E7", "--out", str(target))
+    assert code == 3
+    assert "budget exhausted" in err
+    assert target.read_text() == "earlier records\n"
+
+
+def test_booleans_are_not_integers():
+    a2 = spec_of("A2")
+    with pytest.raises(WordLetterError, match="position 2"):
+        from_word(a2, [1, True])
+    with pytest.raises(ValueError, match="node indices"):
+        classify(a2, from_word(a2, [1]), [True])
+    with pytest.raises(ValueError, match="integer vector"):
+        demazure_char(a2, (True, 0), from_word(a2, [1]))
+
+
+def test_cross_check_rejects_sample_rate_outside_unit_interval():
+    a2 = spec_of("A2")
+    for rate in (-3.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="sample rate"):
+            cross_check(a2, [], [(1, 1)], sample=rate)
+
+
+def test_census_negative_sample_exits_one(capsys):
+    code, out, err = run_cli(
+        capsys, "census", "--type", "A2", "--battery", "rho", "--sample", "-3"
+    )
+    assert code == 1
+    assert "sample rate" in err
+
+
+def test_witness_search_rejects_empty_budgets():
+    d4 = spec_of("D4")
+    w = from_word(d4, [3, 2, 3, 4, 2, 1, 2])
+    with pytest.raises(ValueError, match="coefficient cap"):
+        witness_search(d4, w, (2, 3), -1)
+    with pytest.raises(ValueError, match="at least 1"):
+        witness_search(d4, w, (2, 3), lambda_budget=0)
+    with pytest.raises(ValueError, match="at least 1"):
+        witness_search(d4, w, (2, 3), term_ceiling=0)
+
+
+def test_witness_negative_cap_exits_one(capsys):
+    code, out, err = run_cli(
+        capsys, "witness", "--type", "D4", "--word", "3 2 3 4 2 1 2",
+        "--levi", "2 3", "--cap", "-1",
+    )
+    assert code == 1 and out == ""
+    assert "coefficient cap" in err
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["LEVISPHERICAL_WITNESS_LAMBDA_BUDGET", "LEVISPHERICAL_WITNESS_TERM_CEILING"],
+)
+def test_witness_budget_below_one_exits_one(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "-5")
+    code, out, err = run_cli(
+        capsys, "witness", "--type", "D4", "--word", "3 2 3 4 2 1 2",
+        "--levi", "2 3",
+    )
+    assert code == 1 and out == ""
+
+
+def test_root_count_invariant_raises(monkeypatch):
+    monkeypatch.setattr(rootsys, "_positive_root_count", lambda ct: 0)
+    with pytest.raises(RuntimeError, match="positive roots"):
+        rootsys._build.__wrapped__(rootsys.CartanType("A", 2))
+
+
+def test_levi_top_coefficient_invariant_raises(monkeypatch):
+    monkeypatch.setattr(characters, "_char_along_word", lambda spec, mu, word: {})
+    characters.clear_caches()
+    try:
+        with pytest.raises(RuntimeError, match="top coefficient"):
+            levi_irreducible_char(spec_of("A2"), (1, 0), (1,))
+    finally:
+        characters.clear_caches()
