@@ -281,6 +281,12 @@ class CrossCheckReport:
         }
 
 
+def check_sample_rate(sample: float) -> None:
+    """Reject a cross-check sample rate outside [0, 1], NaN included."""
+    if not 0 <= sample <= 1:
+        raise ValueError(f"cross-check sample rate {sample} is not in [0, 1]")
+
+
 def cross_check(
     spec: RootSystemSpec,
     records: Iterable[CensusRecord],
@@ -307,8 +313,7 @@ def cross_check(
             raise ValueError(f"battery weight {lam} is not dominant")
     if sample is None:
         sample = 1.0 if classical_group_order(spec) <= 500 else 0.05
-    if not 0 <= sample <= 1:
-        raise ValueError(f"cross-check sample rate {sample} is not in [0, 1]")
+    check_sample_rate(sample)
     rng = random.Random(seed)
     report = CrossCheckReport(
         records_seen=0,

@@ -25,10 +25,19 @@ i.e. the operators are applied innermost-first from the right end of the
 word.  The composite depends only on w, not on the chosen reduced word, and
 is invariant under s_i for every left descent i of w.
 
-Levi decompositions peel dominance-maximal weights: the character of the
-irreducible L_I-module of highest weight mu is the Demazure character of
-w_0(I) applied to e^mu, and a finite L_I-character is the sum of such
-characters with multiplicities, recovered greedily from the top.
+Levi decompositions straighten under the W_I dot action.  pi_{w_0(I)} e^mu
+is +-chi_I(u.mu), the character of the irreducible L_I-module of highest
+weight u.mu = u(mu + rho) - rho for the u in W_I making it L_I-dominant, with
+sign (-1)^length(u); it is 0 when mu + rho is I-singular (Demazure character
+formula for w_0(I); Brauer-Klimyk straightening, Humphreys, Introduction to
+Lie Algebras, section 24).  A W_I-invariant f equals pi_{w_0(I)} f, so
+straightening every term of f gives its L_I-multiplicities.  For I inside
+the left descents of w, pi_w = pi_{w_0(I)} pi_d with d = w_0(I) w
+(length-additive; Bjorner-Brenti, Combinatorics of Coxeter Groups,
+Prop. 2.4.4), so the multiplicities of the Demazure character of w come from
+straightening the much smaller character of d.  Decompositions list their
+highest weights in descending order of height, then of grade (coordinate
+sum), then lexicographically.
 """
 
 from __future__ import annotations
@@ -37,8 +46,8 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .rootsys import RootSystemSpec, is_int, validate_node_subset, weight_reflection
-from .sphericality import LeviNotInDescents
-from .weyl import WeylElement, left_descents, longest_parabolic, reduced_word
+from .sphericality import classify
+from .weyl import WeylElement, longest_parabolic, reduced_word
 
 Weight = tuple[int, ...]
 
@@ -223,37 +232,6 @@ def _char_along_word(
         terms = _apply_op(spec.cartan_matrix[i - 1], i - 1, terms, max_terms)
     return terms
 
-# Demazure characters keyed by (lam, w): the same w recurs with
-# many Levi subsets during censuses, and the character does not depend on I.
-_CHAR_CACHE: dict = {}
-_CHAR_CACHE_LIMIT = 4096
-_LEVI_CHAR_CACHE: dict = {}
-_LEVI_CHAR_CACHE_LIMIT = 200_000
-
-
-def clear_caches() -> None:
-    _CHAR_CACHE.clear()
-    _LEVI_CHAR_CACHE.clear()
-
-
-def _char_terms(
-    spec: RootSystemSpec,
-    lam: Weight,
-    w: WeylElement,
-    max_terms: int | None = None,
-) -> dict[Weight, int]:
-    key = (lam, w)
-    hit = _CHAR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    terms = _char_along_word(spec, lam, reduced_word(spec, w), max_terms)
-    if max_terms is None:
-        if len(_CHAR_CACHE) >= _CHAR_CACHE_LIMIT:
-            _CHAR_CACHE.clear()
-        _CHAR_CACHE[key] = terms
-    return terms
-
-
 def demazure_char(
     spec: RootSystemSpec,
     lam,
@@ -270,7 +248,9 @@ def demazure_char(
     lam = _check_weight(spec, lam)
     if not is_dominant(lam):
         raise NonDominantWeight(f"weight {lam} is not dominant")
-    return WeightPoly._wrap(dict(_char_terms(spec, lam, w, max_terms)))
+    return WeightPoly._wrap(
+        _char_along_word(spec, lam, reduced_word(spec, w), max_terms)
+    )
 
 
 def levi_irreducible_char(spec: RootSystemSpec, mu, levi) -> WeightPoly:
@@ -285,64 +265,43 @@ def levi_irreducible_char(spec: RootSystemSpec, mu, levi) -> WeightPoly:
         raise NonDominantWeight(
             f"weight {mu} is not dominant for levi nodes {list(subset)}"
         )
-    key = (spec, mu, subset)
-    hit = _LEVI_CHAR_CACHE.get(key)
-    if hit is None:
-        word = reduced_word(spec, longest_parabolic(spec, subset))
-        hit = _char_along_word(spec, mu, word)
-        if hit.get(mu) != 1:
-            raise RuntimeError(
-                f"levi character of {mu} over {list(subset)} has top "
-                f"coefficient {hit.get(mu, 0)}, not 1"
-            )
-        if len(_LEVI_CHAR_CACHE) >= _LEVI_CHAR_CACHE_LIMIT:
-            _LEVI_CHAR_CACHE.clear()
-        _LEVI_CHAR_CACHE[key] = hit
-    return WeightPoly._wrap(dict(hit))
+    word = reduced_word(spec, longest_parabolic(spec, subset))
+    terms = _char_along_word(spec, mu, word)
+    if terms.get(mu) != 1:
+        raise RuntimeError(
+            f"levi character of {mu} over {list(subset)} has top "
+            f"coefficient {terms.get(mu, 0)}, not 1"
+        )
+    return WeightPoly._wrap(terms)
 
 
-def _decompose_terms(
-    spec: RootSystemSpec, terms: dict[Weight, int], subset: tuple[int, ...]
+def _straighten(
+    spec: RootSystemSpec, terms: Mapping[Weight, int], subset: tuple[int, ...]
 ) -> tuple[DecompositionEntry, ...]:
-    """Greedy peeling of a raw term dict; see decompose_levi."""
+    """pi_{w_0(I)} of a term dict as L_I-multiplicities, by the W_I dot action.
+
+    Each c*e^mu moves mu + rho into the closed L_I-dominant chamber by simple
+    reflections, each flipping the sign of c; an I-singular end point
+    contributes nothing.  Entries come in descending (height, grade, mu).
+    """
+    mults: dict[Weight, int] = {}
+    for mu, c in terms.items():
+        v = tuple(x + 1 for x in mu)
+        while (j := next((i - 1 for i in subset if v[i - 1] < 0), None)) is not None:
+            v = weight_reflection(spec, v, j)
+            c = -c
+        if all(v[i - 1] for i in subset):
+            nu = tuple(x - 1 for x in v)
+            mults[nu] = mults.get(nu, 0) + c
     u = spec.height_functional
-    remaining = dict(terms)
-    entries: list[DecompositionEntry] = []
-    # A genuine character yields at most one entry per unit of mass.
-    budget = sum(abs(c) for c in remaining.values())
-
-    def selection_key(wt: Weight):
-        # Height-maximal weights are dominance-maximal for every Levi subset;
-        # ties are broken graded-lexicographically, largest first.
-        return (sum(a * b for a, b in zip(u, wt)), sum(wt), wt)
-
-    while remaining:
-        if len(entries) >= budget:
-            raise NotLeviCharacter(
-                "peeling does not terminate; the input is not an L_I-character"
-            )
-        nu = max(remaining, key=selection_key)
-        m = remaining[nu]
+    entries = sorted(
+        (DecompositionEntry(nu, m) for nu, m in mults.items() if m),
+        key=lambda e: (sum(a * b for a, b in zip(u, e.mu)), sum(e.mu), e.mu),
+        reverse=True,
+    )
+    for nu, m in entries:
         if m < 0:
-            raise NotLeviCharacter(
-                f"maximal weight {nu} has negative coefficient {m}"
-            )
-        if not is_levi_dominant(nu, subset):
-            raise NotLeviCharacter(
-                f"maximal weight {nu} is not dominant for levi nodes {list(subset)}"
-            )
-        irr = levi_irreducible_char(spec, nu, subset)
-        for wt, c in irr.items():
-            nv = remaining.get(wt, 0) - m * c
-            if nv:
-                if nv < 0:
-                    raise NotLeviCharacter(
-                        f"coefficient of {wt} went negative while peeling {nu}"
-                    )
-                remaining[wt] = nv
-            else:
-                remaining.pop(wt, None)
-        entries.append(DecompositionEntry(nu, m))
+            raise NotLeviCharacter(f"weight {nu} has negative multiplicity {m}")
     return tuple(entries)
 
 
@@ -351,12 +310,22 @@ def decompose_levi(
 ) -> tuple[DecompositionEntry, ...]:
     """Write f as a sum of irreducible L_I-characters with multiplicities.
 
-    Entries are produced in peeling order (dominance-maximal weight first)
-    and reconstruct f exactly: f = sum of mult * levi_irreducible_char(mu).
-    Inputs that are not genuine L_I-characters are rejected.
+    f must be s_i-invariant for every i in I; each of its terms is then
+    straightened under the W_I dot action (see the module docstring).  The
+    entries reconstruct f exactly, f = sum of mult * levi_irreducible_char(mu),
+    and come in descending order of the height of mu, then of its coordinate
+    sum, then lexicographically.  A non-invariant f, or one with a negative
+    multiplicity, is not an L_I-character and raises NotLeviCharacter.
     """
     subset = validate_node_subset(spec, levi)
-    return _decompose_terms(spec, dict(f.items()), subset)
+    terms = dict(f.items())
+    for i in subset:
+        for wt, c in terms.items():
+            if terms.get(weight_reflection(spec, wt, i - 1), 0) != c:
+                raise NotLeviCharacter(
+                    f"the input is not s_{i}-invariant: coefficient {c} at {wt}"
+                )
+    return _straighten(spec, terms, subset)
 
 
 def is_multiplicity_free(
@@ -365,18 +334,15 @@ def is_multiplicity_free(
     """Is the Demazure module for (lam, w) multiplicity-free over L_I?
 
     Requires lam dominant and I inside the left descent set of w (so that
-    the Demazure character is a genuine L_I-character).
+    the Demazure character is a genuine L_I-character).  Only the character
+    of d = w_0(I) w is expanded, bounded by DEFAULT_TERM_CEILING.
     """
     lam = _check_weight(spec, lam)
     if not is_dominant(lam):
         raise NonDominantWeight(f"weight {lam} is not dominant")
-    subset = validate_node_subset(spec, levi)
-    descents = left_descents(spec, w)
-    offending = [i for i in subset if i not in descents]
-    if offending:
-        raise LeviNotInDescents(offending, descents)
-    terms = _char_terms(spec, lam, w)
-    for mu, m in _decompose_terms(spec, terms, subset):
+    res = classify(spec, w, levi)
+    terms = _char_along_word(spec, lam, res.d_word, DEFAULT_TERM_CEILING)
+    for mu, m in _straighten(spec, terms, res.levi):
         if m >= 2:
             return MultiplicityCheck(False, mu, m)
     return MultiplicityCheck(True, None, None)
@@ -415,8 +381,9 @@ def witness_search(
     """Search for a dominant lam whose Demazure module has a multiplicity >= 2.
 
     Scans dominant weights with coordinates <= coeff_cap in graded-lex order
-    and returns the first witness found.  Exhausting the budget returns None,
-    which is inconclusive: it is NOT a certificate of multiplicity-freeness.
+    and returns the first witness found.  Each lam expands only the character
+    of d = w_0(I) w; one past term_ceiling terms is skipped.  Exhausting the
+    budget returns None, which is inconclusive: it is NOT a certificate of multiplicity-freeness.
     A negative coeff_cap, or a lambda_budget or term_ceiling below 1, would
     try nothing and is rejected with ValueError.
     """
@@ -427,22 +394,17 @@ def witness_search(
             f"witness lambda budget {lambda_budget} and term ceiling "
             f"{term_ceiling} must both be at least 1"
         )
-    subset = validate_node_subset(spec, levi)
-    descents = left_descents(spec, w)
-    offending = [i for i in subset if i not in descents]
-    if offending:
-        raise LeviNotInDescents(offending, descents)
-    word = reduced_word(spec, w)
+    res = classify(spec, w, levi)
     tried = 0
     for lam in _dominant_weights_graded(spec.rank, coeff_cap):
         if tried >= lambda_budget:
             break
         tried += 1
         try:
-            terms = _char_along_word(spec, lam, word, term_ceiling)
+            terms = _char_along_word(spec, lam, res.d_word, term_ceiling)
         except CharacterBudgetExceeded:
             continue
-        for mu, m in _decompose_terms(spec, terms, subset):
+        for mu, m in _straighten(spec, terms, res.levi):
             if m >= 2:
                 return Witness(lam, mu, m)
     return None

@@ -169,7 +169,7 @@ def _cmd_demazure(args) -> int:
     spec = build_root_system(args.type)
     w = from_word(spec, _parse_indices(args.word))
     lam = _parse_weight(spec, args.weight)
-    char = demazure_char(spec, lam, w)
+    char = demazure_char(spec, lam, w, max_terms=chars_mod.DEFAULT_TERM_CEILING)
     if args.pretty:
         for entry in char.to_json_obj():
             print(f"{entry['weight']}  {entry['coeff']}")
@@ -184,7 +184,8 @@ def _cmd_decompose(args) -> int:
     w = from_word(spec, _parse_indices(args.word))
     lam = _parse_weight(spec, args.weight)
     levi = _parse_levi(spec, args.levi, w)
-    entries = decompose_levi(spec, demazure_char(spec, lam, w), levi)
+    char = demazure_char(spec, lam, w, max_terms=chars_mod.DEFAULT_TERM_CEILING)
+    entries = decompose_levi(spec, char, levi)
     _emit(decomposition_to_json(entries), args.pretty)
     return 0
 
@@ -257,6 +258,8 @@ def _cmd_census(args) -> int:
         "LEVISPHERICAL_ENUM_CAP", DEFAULT_ENUM_CAP
     )
     battery = _parse_battery(spec, args.battery) if args.battery else None
+    if args.sample is not None:
+        census_mod.check_sample_rate(args.sample)
     records: Optional[list] = [] if battery is not None else None
 
     out_file = None

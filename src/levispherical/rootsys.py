@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 RootVector = tuple[int, ...]
@@ -207,46 +206,18 @@ class RootSystemSpec:
 
     @cached_property
     def height_functional(self) -> tuple[int, ...]:
-        """Integer vector u with u . x = (scale) * height of x for weights x.
+        """2 rho^vee in simple-coroot coordinates, so u . alpha_i = 2 for all i.
 
-        Here x is in fundamental-weight coordinates and height means the sum
-        of simple-root coordinates; u is C^{-1} (1,...,1) cleared of
-        denominators, so u . alpha_i is the same positive constant for all i.
+        For a weight x in fundamental-weight coordinates, u . x = <x, 2 rho^vee>
+        is twice the height of x (the sum of its simple-root coordinates).
+        The positive coroots are the positive roots of the transposed Cartan
+        matrix, and 2 rho^vee is their sum.
         """
-        n = self.rank
-        sol = _solve_exact(
-            [[Fraction(c) for c in row] for row in self.cartan_matrix],
-            [Fraction(1)] * n,
-        )
-        lcm = 1
-        for x in sol:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-        return tuple(int(x * lcm) for x in sol)
+        coroots = _close_positive_roots(tuple(zip(*self.cartan_matrix)))
+        return tuple(map(sum, zip(*coroots)))
 
     def __repr__(self) -> str:
         return f"RootSystemSpec({self.cartan_type})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve a x = b by Gaussian elimination over the rationals."""
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
 
 
 @lru_cache(maxsize=None)

@@ -57,6 +57,36 @@ def test_census_negative_sample_exits_one(capsys):
     assert "sample rate" in err
 
 
+def test_census_bad_sample_refused_before_any_output(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "census", "--type", "A2", "--battery", "rho", "--sample", "-3"
+    )
+    assert code == 1 and out == ""
+    target = tmp_path / "records.jsonl"
+    target.write_text("earlier records\n")
+    code, out, err = run_cli(
+        capsys, "census", "--type", "A2", "--battery", "rho", "--sample", "1.5",
+        "--out", str(target),
+    )
+    assert code == 1 and out == ""
+    assert "sample rate" in err
+    assert target.read_text() == "earlier records\n"
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("demazure", ()), ("decompose", ("--levi", "2 3")), ("mf-check", ("--levi", "2 3"))],
+)
+def test_character_commands_respect_term_ceiling(capsys, monkeypatch, command, extra):
+    monkeypatch.setattr(characters, "DEFAULT_TERM_CEILING", 10)
+    code, out, err = run_cli(
+        capsys, command, "--type", "D4", "--word", "3 2 3 4 2 1 2",
+        "--weight", "1 1 1 1", *extra,
+    )
+    assert code == 3 and out == ""
+    assert "budget exhausted" in err
+
+
 def test_witness_search_rejects_empty_budgets():
     d4 = spec_of("D4")
     w = from_word(d4, [3, 2, 3, 4, 2, 1, 2])
@@ -98,9 +128,5 @@ def test_root_count_invariant_raises(monkeypatch):
 
 def test_levi_top_coefficient_invariant_raises(monkeypatch):
     monkeypatch.setattr(characters, "_char_along_word", lambda spec, mu, word: {})
-    characters.clear_caches()
-    try:
-        with pytest.raises(RuntimeError, match="top coefficient"):
-            levi_irreducible_char(spec_of("A2"), (1, 0), (1,))
-    finally:
-        characters.clear_caches()
+    with pytest.raises(RuntimeError, match="top coefficient"):
+        levi_irreducible_char(spec_of("A2"), (1, 0), (1,))
