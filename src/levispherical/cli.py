@@ -259,6 +259,8 @@ def _cmd_census(args) -> int:
     )
     battery = _parse_battery(spec, args.battery) if args.battery else None
     if args.sample is not None:
+        if battery is None:
+            raise ValueError("census --sample needs --battery: nothing to cross-check")
         census_mod.check_sample_rate(args.sample)
     records: Optional[list] = [] if battery is not None else None
 

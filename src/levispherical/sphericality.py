@@ -28,7 +28,6 @@ from .weyl import (
     is_standard_coxeter,
     left_descents,
     longest_parabolic,
-    reduced_word,
 )
 
 
@@ -88,12 +87,14 @@ def classify(spec: RootSystemSpec, w: WeylElement, levi) -> ClassificationResult
     if offending:
         raise LeviNotInDescents(offending, descents)
 
-    w0i_word = reduced_word(spec, longest_parabolic(spec, subset))
+    # The words of w and of the memoised w_0(I) are stripped once per
+    # element; only d's is new here.
+    w0i_word = longest_parabolic(spec, subset).word
     # w_0(I) is an involution, so d = w_0(I)^{-1} w = w_0(I) w.
     d = WeylElement(spec, apply_word(spec, w0i_word, w.rho_image))
 
-    w_word = reduced_word(spec, w)
-    d_word = reduced_word(spec, d)
+    w_word = w.word
+    d_word = d.word
     len_w = len(w_word)
     len_w0i = len(w0i_word)
     len_d = len(d_word)

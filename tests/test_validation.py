@@ -130,3 +130,16 @@ def test_levi_top_coefficient_invariant_raises(monkeypatch):
     monkeypatch.setattr(characters, "_char_along_word", lambda spec, mu, word: {})
     with pytest.raises(RuntimeError, match="top coefficient"):
         levi_irreducible_char(spec_of("A2"), (1, 0), (1,))
+
+
+def test_census_sample_without_battery_is_refused(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "census", "--type", "A2", "--sample", "0.5")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--battery" in err
+    target = tmp_path / "records.jsonl"
+    target.write_text("earlier records\n")
+    code, out, err = run_cli(
+        capsys, "census", "--type", "A2", "--sample", "0.5", "--out", str(target)
+    )
+    assert code == 1 and out == ""
+    assert target.read_text() == "earlier records\n"
