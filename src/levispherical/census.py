@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
 from .characters import (
     Weight,
@@ -32,7 +31,7 @@ from .characters import (
     is_multiplicity_free,
     witness_search,
 )
-from .rootsys import CartanType, RootSystemSpec, build_root_system
+from .rootsys import CartanType, RootSystemSpec
 from .sphericality import classify
 from .weyl import (
     DEFAULT_ENUM_CAP,
@@ -121,67 +120,6 @@ def _element_pairs(spec: RootSystemSpec, w: WeylElement, levi_mode: str):
         yield classify(spec, w, subset)
 
 
-def _classify_elements(
-    spec: RootSystemSpec,
-    elements: Iterable[WeylElement],
-    levi_mode: str,
-    summary: CensusSummary,
-) -> Iterator[CensusRecord]:
-    """Records of every element in order, each counted into summary."""
-    by_length = summary.by_length
-    for w in elements:
-        first = True
-        for result in _element_pairs(spec, w, levi_mode):
-            rec = CensusRecord(
-                cartan_type=spec.cartan_type,
-                w_word=result.w_word,
-                length=result.len_w,
-                levi=result.levi,
-                d_word=result.d_word,
-                spherical=result.spherical,
-            )
-            per = by_length.get(rec.length)
-            if per is None:
-                per = by_length[rec.length] = _length_counts()
-            if first:
-                per["elements"] += 1
-                # An element is toric iff w itself is a standard Coxeter element.
-                summary.toric_count += rec.length == len(set(rec.w_word))
-                first = False
-            per["pairs"] += 1
-            summary.pair_count += 1
-            if rec.spherical:
-                per["spherical"] += 1
-                summary.spherical_count += 1
-            yield rec
-
-
-def _length_counts() -> dict[str, int]:
-    return {"elements": 0, "pairs": 0, "spherical": 0}
-
-
-def _empty_summary(spec: RootSystemSpec, levi_mode: str, order: int) -> CensusSummary:
-    return CensusSummary(
-        cartan_type=spec.cartan_type,
-        levi_mode=levi_mode,
-        group_order=order,
-        pair_count=0,
-        spherical_count=0,
-        toric_count=0,
-    )
-
-
-def _census_chunk(args) -> tuple[list[str], CensusSummary]:
-    """Worker body: classify a contiguous chunk of (w(rho), word) pairs."""
-    type_str, levi_mode, pairs = args
-    spec = build_root_system(type_str)
-    counts = _empty_summary(spec, levi_mode, 0)
-    elements = (WeylElement(spec, wt, word) for wt, word in pairs)
-    records = _classify_elements(spec, elements, levi_mode, counts)
-    lines = [rec.to_json_line() for rec in records]
-    return lines, counts
-
-
 def census_order(spec: RootSystemSpec, cap: int) -> int:
     """|W|, or CapExceeded if a census of it would pass the cap."""
     order = classical_group_order(spec)
@@ -199,57 +137,59 @@ def run_census(
     levi_mode: str = "all-subsets",
     cap: int = DEFAULT_ENUM_CAP,
     sink: Optional[IO[str]] = None,
-    jobs: int = 1,
     records_out: Optional[list[CensusRecord]] = None,
 ) -> CensusSummary:
     """Classify the whole group, streaming JSONL records to sink.
 
     The group order is checked against cap before any output; enumeration is
-    never silently truncated.  In one process each record goes to sink as
-    soon as its element leaves the enumeration, so no list of elements or
-    lines is held; the words of w and w_0(I) are never stripped, only that
-    of d.  An E6 full-descent census (51,840 records) runs in about 3.6 s at
-    a peak RSS of 46 MB on a 2-vCPU VM (perfbench census-e6 median).  With
-    jobs > 1 the (w(rho), word) pairs of all elements are split into
-    contiguous chunks handled by worker processes, and output order (hence
-    byte content) is identical to the single-process run.
+    never silently truncated.  Each record goes to sink as soon as its
+    element leaves the enumeration, so no list of elements or lines is held;
+    the words of w and w_0(I) are never stripped, only that of d.  An E6
+    full-descent census (51,840 records) runs in about 3.2 s at a peak RSS
+    of 44 MB on a 2-vCPU VM (perfbench census-e6 median).
 
     records_out, if given, additionally receives every CensusRecord.
     """
     if levi_mode not in LEVI_MODES:
         raise ValueError(f"levi_mode must be one of {LEVI_MODES}")
-    order = census_order(spec, cap)
-    summary = _empty_summary(spec, levi_mode, order)
-    elements = enumerate_group(spec, cap)
-
-    if jobs <= 1:
-        for rec in _classify_elements(spec, elements, levi_mode, summary):
+    summary = CensusSummary(
+        cartan_type=spec.cartan_type,
+        levi_mode=levi_mode,
+        group_order=census_order(spec, cap),
+        pair_count=0,
+        spherical_count=0,
+        toric_count=0,
+    )
+    by_length = summary.by_length
+    for w in enumerate_group(spec, cap):
+        first = True
+        for result in _element_pairs(spec, w, levi_mode):
+            rec = CensusRecord(
+                cartan_type=spec.cartan_type,
+                w_word=result.w_word,
+                length=result.len_w,
+                levi=result.levi,
+                d_word=result.d_word,
+                spherical=result.spherical,
+            )
+            per = by_length.get(rec.length)
+            if per is None:
+                per = {"elements": 0, "pairs": 0, "spherical": 0}
+                by_length[rec.length] = per
+            if first:
+                per["elements"] += 1
+                # An element is toric iff w itself is a standard Coxeter element.
+                summary.toric_count += rec.length == len(set(rec.w_word))
+                first = False
+            per["pairs"] += 1
+            summary.pair_count += 1
+            if rec.spherical:
+                per["spherical"] += 1
+                summary.spherical_count += 1
             if sink is not None:
                 sink.write(rec.to_json_line() + "\n")
             if records_out is not None:
                 records_out.append(rec)
-        return summary
-
-    pairs = [(w.rho_image, w.word) for w in elements]
-    chunk_size = max(1, (len(pairs) + jobs * 4 - 1) // (jobs * 4))
-    chunks = [
-        (str(spec.cartan_type), levi_mode, pairs[i : i + chunk_size])
-        for i in range(0, len(pairs), chunk_size)
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for lines, counts in pool.map(_census_chunk, chunks):
-            for line in lines:
-                if sink is not None:
-                    sink.write(line + "\n")
-                if records_out is not None:
-                    records_out.append(CensusRecord.from_json_line(spec, line))
-            summary.pair_count += counts.pair_count
-            summary.spherical_count += counts.spherical_count
-            summary.toric_count += counts.toric_count
-            for ln, per in counts.by_length.items():
-                agg = summary.by_length.setdefault(ln, _length_counts())
-                for k in per:
-                    agg[k] += per[k]
     return summary
 
 
@@ -291,9 +231,12 @@ class CrossCheckReport:
 
 
 def check_sample_rate(sample: float) -> None:
-    """Reject a cross-check sample rate outside [0, 1], NaN included."""
-    if not 0 <= sample <= 1:
-        raise ValueError(f"cross-check sample rate {sample} is not in [0, 1]")
+    """Reject a cross-check sample rate outside (0, 1], NaN included.
+
+    A rate of 0 checks no record, so a cross-check at it could not fail.
+    """
+    if not 0 < sample <= 1:
+        raise ValueError(f"cross-check sample rate {sample} is not in (0, 1]")
 
 
 def cross_check(
@@ -314,7 +257,7 @@ def cross_check(
 
     Sampling is deterministic given the seed.  The default rate is 1.0 for
     groups of at most 500 elements and 0.05 above that; a rate outside
-    [0, 1] is rejected with ValueError.
+    (0, 1] is rejected with ValueError.
     """
     battery = [tuple(lam) for lam in battery]
     for lam in battery:

@@ -278,7 +278,6 @@ def _cmd_census(args) -> int:
             levi_mode=levi_mode,
             cap=cap,
             sink=sink,
-            jobs=args.jobs,
             records_out=records,
         )
     finally:
@@ -372,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sample", type=float, default=None, help="cross-check sampling rate"
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(func=_cmd_census)
 
     return parser

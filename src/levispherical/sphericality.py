@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from .rootsys import CartanType, RootSystemSpec, validate_node_subset
 from .weyl import (
     WeylElement,
+    _longest_parabolic,
     apply_word,
     is_standard_coxeter,
     left_descents,
-    longest_parabolic,
 )
 
 
@@ -82,14 +82,14 @@ def classify(spec: RootSystemSpec, w: WeylElement, levi) -> ClassificationResult
     an error, not a verdict.
     """
     subset = validate_node_subset(spec, levi)
-    descents = left_descents(spec, w)
-    offending = [i for i in subset if i not in descents]
+    # i is a left descent of w iff coordinate i of w(rho) is negative.
+    offending = [i for i in subset if w.rho_image[i - 1] >= 0]
     if offending:
-        raise LeviNotInDescents(offending, descents)
+        raise LeviNotInDescents(offending, left_descents(spec, w))
 
     # The words of w and of the memoised w_0(I) are stripped once per
-    # element; only d's is new here.
-    w0i_word = longest_parabolic(spec, subset).word
+    # element; only d's is new here.  subset is validated already.
+    w0i_word = _longest_parabolic(spec, subset).word
     # w_0(I) is an involution, so d = w_0(I)^{-1} w = w_0(I) w.
     d = WeylElement(spec, apply_word(spec, w0i_word, w.rho_image))
 

@@ -12,6 +12,7 @@ from levispherical import (
     left_descents,
     run_census,
 )
+from levispherical import census
 from conftest import spec_of
 from oracles import a_type_census, sym_eval_word
 
@@ -67,11 +68,29 @@ def test_census_is_byte_deterministic():
     assert first.count("\n") == len(first.splitlines())
 
 
-def test_parallel_census_matches_serial():
-    serial, s1 = census_lines("B3")
-    parallel, s2 = census_lines("B3", jobs=2)
-    assert serial == parallel
-    assert s1.to_json_dict() == s2.to_json_dict()
+def test_census_streams_records_during_enumeration(monkeypatch):
+    # The first record reaches the sink before the enumeration has yielded
+    # the whole group, so a census holds no list of elements.
+    enumerate_group = census.enumerate_group
+    yielded = []
+
+    def counting(spec, cap):
+        for w in enumerate_group(spec, cap):
+            yielded.append(w)
+            yield w
+
+    class Sink:
+        first_write_at = None
+
+        def write(self, text):
+            if self.first_write_at is None:
+                self.first_write_at = len(yielded)
+
+    monkeypatch.setattr(census, "enumerate_group", counting)
+    sink = Sink()
+    summary = run_census(spec_of("D4"), sink=sink)
+    assert len(yielded) == summary.group_order == 192
+    assert sink.first_write_at is not None and sink.first_write_at < 192
 
 
 def test_census_record_stream_is_consistent():
@@ -201,5 +220,5 @@ def test_cross_check_sampling_is_seeded():
     assert one.to_json_dict() == two.to_json_dict()
     assert one.records_seen == len(records)
     assert 0 < one.sampled < len(records)
-    none = cross_check(spec, records, [(1, 0, 0)], sample=0.0)
-    assert none.sampled == 0
+    with pytest.raises(ValueError, match="sample rate"):
+        cross_check(spec, records, [(1, 0, 0)], sample=0.0)

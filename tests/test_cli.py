@@ -185,12 +185,6 @@ def test_census_out_file_diverts_records(capsys, tmp_path):
     assert all(json.loads(line)["type"] == "A2" for line in stored)
 
 
-def test_census_jobs_flag_keeps_bytes(capsys):
-    _, serial, _ = run_cli(capsys, "census", "--type", "B3")
-    _, parallel, _ = run_cli(capsys, "census", "--type", "B3", "--jobs", "2")
-    assert serial == parallel
-
-
 def test_census_cap_exit(capsys):
     code, out, err = run_cli(capsys, "census", "--type", "B2", "--cap", "5")
     assert code == 3

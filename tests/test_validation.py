@@ -1,5 +1,8 @@
 """Input validation, budget bounds and internal invariants."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from levispherical import (
@@ -11,6 +14,7 @@ from levispherical import (
     levi_irreducible_char,
     witness_search,
 )
+import levispherical
 from levispherical import characters, rootsys
 from levispherical.cli import main
 from conftest import spec_of
@@ -143,3 +147,29 @@ def test_census_sample_without_battery_is_refused(capsys, tmp_path):
     )
     assert code == 1 and out == ""
     assert target.read_text() == "earlier records\n"
+
+
+def test_census_zero_sample_is_refused(capsys, tmp_path):
+    # A cross-check at rate 0 would check no record and still pass.
+    target = tmp_path / "records.jsonl"
+    target.write_text("earlier records\n")
+    code, out, err = run_cli(
+        capsys, "census", "--type", "A2", "--battery", "rho", "--sample", "0",
+        "--out", str(target),
+    )
+    assert code == 1 and out == ""
+    assert "sample rate" in err
+    assert target.read_text() == "earlier records\n"
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so invariants must raise instead.
+    sources = sorted(Path(levispherical.__file__).parent.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
