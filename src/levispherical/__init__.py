@@ -65,8 +65,10 @@ from .census import (
     CensusSummary,
     CrossCheckReport,
     InconsistencyError,
+    census_records,
     cross_check,
     run_census,
+    start_census,
 )
 
 __version__ = "0.1.0"

@@ -11,10 +11,12 @@ in a fixed order: elements by length, then in increasing lexicographic
 order of w(rho) in fundamental-weight coordinates, then subsets of the
 descent set in binary-counting order.  Reruns are byte-identical.
 
-cross_check validates records against explicit character computations: a
-spherical record must be multiplicity-free for every weight of the battery
-(a violation is raised as InconsistencyError), and a non-spherical record
-is handed to witness_search, whose failure to find a witness is merely
+census_records is the one stream of records: the JSONL sink, a caller's
+list and the cross-check all read it as it is produced.  cross_check
+validates records against explicit character computations: a spherical
+record must be multiplicity-free for every weight of the battery (a
+violation is raised as InconsistencyError), and a non-spherical record is
+handed to witness_search, whose failure to find a witness is merely
 inconclusive.
 """
 
@@ -22,16 +24,16 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .characters import (
+    DEFAULT_WITNESS_CAP,
     Weight,
-    is_dominant,
     is_multiplicity_free,
     witness_search,
 )
-from .rootsys import CartanType, RootSystemSpec
+from .rootsys import CartanType, RootSystemSpec, is_int
 from .sphericality import classify
 from .weyl import (
     DEFAULT_ENUM_CAP,
@@ -90,9 +92,9 @@ class CensusSummary:
     cartan_type: CartanType
     levi_mode: str
     group_order: int
-    pair_count: int
-    spherical_count: int
-    toric_count: int
+    pair_count: int = 0
+    spherical_count: int = 0
+    toric_count: int = 0
     by_length: dict[int, dict[str, int]] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -120,57 +122,46 @@ def _element_pairs(spec: RootSystemSpec, w: WeylElement, levi_mode: str):
         yield classify(spec, w, subset)
 
 
-def census_order(spec: RootSystemSpec, cap: int) -> int:
-    """|W|, or CapExceeded if a census of it would pass the cap."""
+def start_census(
+    spec: RootSystemSpec,
+    levi_mode: str = "all-subsets",
+    cap: int = DEFAULT_ENUM_CAP,
+) -> CensusSummary:
+    """The empty summary of a census that may run, before any output.
+
+    Rejects an unknown levi_mode with ValueError, and a group whose order
+    passes cap with CapExceeded; enumeration is never silently truncated.
+    """
+    if levi_mode not in LEVI_MODES:
+        raise ValueError(f"levi_mode must be one of {LEVI_MODES}")
     order = classical_group_order(spec)
     if order > cap:
         raise CapExceeded(
             f"group of type {spec.cartan_type} has order {order}, "
             f"over the cap {cap}; raise the cap to run this census"
         )
-    return order
+    return CensusSummary(spec.cartan_type, levi_mode, order)
 
 
-def run_census(
+def census_records(
     spec: RootSystemSpec,
-    *,
-    levi_mode: str = "all-subsets",
-    cap: int = DEFAULT_ENUM_CAP,
+    summary: CensusSummary,
     sink: Optional[IO[str]] = None,
-    records_out: Optional[list[CensusRecord]] = None,
-) -> CensusSummary:
-    """Classify the whole group, streaming JSONL records to sink.
+) -> Iterator[CensusRecord]:
+    """The records of the census that summary was started for, in order.
 
-    The group order is checked against cap before any output; enumeration is
-    never silently truncated.  Each record goes to sink as soon as its
-    element leaves the enumeration, so no list of elements or lines is held;
-    the words of w and w_0(I) are never stripped, only that of d.  An E6
-    full-descent census (51,840 records) runs in about 3.2 s at a peak RSS
-    of 44 MB on a 2-vCPU VM (perfbench census-e6 median).
-
-    records_out, if given, additionally receives every CensusRecord.
+    Each record is counted into summary and written to sink as soon as its
+    element leaves the enumeration, then yielded; no list of elements,
+    records or lines is held, and the words of w and w_0(I) are never
+    stripped, only that of d.  summary is complete once the stream ends.
     """
-    if levi_mode not in LEVI_MODES:
-        raise ValueError(f"levi_mode must be one of {LEVI_MODES}")
-    summary = CensusSummary(
-        cartan_type=spec.cartan_type,
-        levi_mode=levi_mode,
-        group_order=census_order(spec, cap),
-        pair_count=0,
-        spherical_count=0,
-        toric_count=0,
-    )
     by_length = summary.by_length
-    for w in enumerate_group(spec, cap):
+    for w in enumerate_group(spec, summary.group_order):
         first = True
-        for result in _element_pairs(spec, w, levi_mode):
+        for result in _element_pairs(spec, w, summary.levi_mode):
             rec = CensusRecord(
-                cartan_type=spec.cartan_type,
-                w_word=result.w_word,
-                length=result.len_w,
-                levi=result.levi,
-                d_word=result.d_word,
-                spherical=result.spherical,
+                spec.cartan_type, result.w_word, result.len_w,
+                result.levi, result.d_word, result.spherical,
             )
             per = by_length.get(rec.length)
             if per is None:
@@ -188,8 +179,29 @@ def run_census(
                 summary.spherical_count += 1
             if sink is not None:
                 sink.write(rec.to_json_line() + "\n")
-            if records_out is not None:
-                records_out.append(rec)
+            yield rec
+
+
+def run_census(
+    spec: RootSystemSpec,
+    *,
+    levi_mode: str = "all-subsets",
+    cap: int = DEFAULT_ENUM_CAP,
+    sink: Optional[IO[str]] = None,
+    records_out: Optional[list[CensusRecord]] = None,
+) -> CensusSummary:
+    """Classify the whole group, streaming JSONL records to sink.
+
+    start_census, then census_records to the end.  An E6 full-descent
+    census (51,840 records) runs in about 3.2 s at a peak RSS of 44 MB on a
+    2-vCPU VM (perfbench census-e6 median).
+
+    records_out, if given, additionally receives every CensusRecord.
+    """
+    summary = start_census(spec, levi_mode, cap)
+    for rec in census_records(spec, summary, sink):
+        if records_out is not None:
+            records_out.append(rec)
     return summary
 
 
@@ -208,26 +220,18 @@ class InconsistencyError(RuntimeError):
         )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class CrossCheckReport:
-    records_seen: int
-    sampled: int
-    spherical_checked: int
+    records_seen: int = 0
+    sampled: int = 0
+    spherical_checked: int = 0
     battery_size: int
-    witness_found: int
-    witness_inconclusive: int
+    witness_found: int = 0
+    witness_inconclusive: int = 0
     sample_rate: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "records_seen": self.records_seen,
-            "sampled": self.sampled,
-            "spherical_checked": self.spherical_checked,
-            "battery_size": self.battery_size,
-            "witness_found": self.witness_found,
-            "witness_inconclusive": self.witness_inconclusive,
-            "sample_rate": self.sample_rate,
-        }
+        return asdict(self)
 
 
 def check_sample_rate(sample: float) -> None:
@@ -239,13 +243,22 @@ def check_sample_rate(sample: float) -> None:
         raise ValueError(f"cross-check sample rate {sample} is not in (0, 1]")
 
 
+def check_battery(spec: RootSystemSpec, battery) -> list[Weight]:
+    """The battery as tuples, once every weight is checked dominant integral."""
+    battery = [tuple(lam) for lam in battery]
+    for lam in battery:
+        if len(lam) != spec.rank or not all(is_int(x) and x >= 0 for x in lam):
+            raise ValueError(f"{spec.cartan_type} battery weight {lam} is not dominant")
+    return battery
+
+
 def cross_check(
     spec: RootSystemSpec,
     records: Iterable[CensusRecord],
     battery: Sequence[Weight],
     sample: Optional[float] = None,
     *,
-    witness_cap: int = 2,
+    witness_cap: int = DEFAULT_WITNESS_CAP,
     seed: int = 0,
 ) -> CrossCheckReport:
     """Validate census records by explicit character computation.
@@ -255,27 +268,18 @@ def cross_check(
     Non-spherical records are handed to witness_search; not finding a
     witness within the budget is counted as inconclusive, not an error.
 
-    Sampling is deterministic given the seed.  The default rate is 1.0 for
-    groups of at most 500 elements and 0.05 above that; a rate outside
-    (0, 1] is rejected with ValueError.
+    Sampling is deterministic given the seed: one draw per record, in
+    record order.  The default rate is 1.0 for groups of at most 500
+    elements and 0.05 above that.  The battery and the rate are checked
+    (ValueError) before the first record is read, so records may be the
+    live census_records stream, which a failure stops at its record.
     """
-    battery = [tuple(lam) for lam in battery]
-    for lam in battery:
-        if len(lam) != spec.rank or not is_dominant(lam):
-            raise ValueError(f"battery weight {lam} is not dominant")
+    battery = check_battery(spec, battery)
     if sample is None:
         sample = 1.0 if classical_group_order(spec) <= 500 else 0.05
     check_sample_rate(sample)
     rng = random.Random(seed)
-    report = CrossCheckReport(
-        records_seen=0,
-        sampled=0,
-        spherical_checked=0,
-        battery_size=len(battery),
-        witness_found=0,
-        witness_inconclusive=0,
-        sample_rate=sample,
-    )
+    report = CrossCheckReport(battery_size=len(battery), sample_rate=sample)
     for rec in records:
         report.records_seen += 1
         if rng.random() >= sample:

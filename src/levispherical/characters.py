@@ -45,7 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Optional
 
-from .rootsys import RootSystemSpec, is_int, validate_node_subset, weight_reflection
+from .rootsys import (
+    RootSystemSpec,
+    is_int,
+    node_index,
+    validate_node_subset,
+    weight_reflection,
+)
 from .sphericality import classify
 from .weyl import WeylElement, longest_parabolic, reduced_word
 
@@ -169,10 +175,7 @@ def _check_weight(spec: RootSystemSpec, wt) -> Weight:
 
 def reflect_weight(spec: RootSystemSpec, wt, i: int) -> Weight:
     """s_i(wt) = wt - wt_i * alpha_i, in fundamental-weight coordinates."""
-    wt = _check_weight(spec, wt)
-    if not (is_int(i) and 1 <= i <= spec.rank):
-        raise ValueError(f"node index {i} out of range 1..{spec.rank}")
-    return weight_reflection(spec, wt, i - 1)
+    return weight_reflection(spec, _check_weight(spec, wt), node_index(spec, i))
 
 
 def is_dominant(wt: Weight) -> bool:
@@ -213,11 +216,8 @@ def _apply_op(
 
 def demazure_op(spec: RootSystemSpec, f: WeightPoly, i: int) -> WeightPoly:
     """Apply pi_i to a weight polynomial."""
-    if not 1 <= i <= spec.rank:
-        raise ValueError(f"node index {i} out of range 1..{spec.rank}")
-    return WeightPoly._wrap(
-        _apply_op(spec.cartan_matrix[i - 1], i - 1, dict(f.items()))
-    )
+    j = node_index(spec, i)
+    return WeightPoly._wrap(_apply_op(spec.cartan_matrix[j], j, dict(f.items())))
 
 
 def _char_along_word(

@@ -3,8 +3,9 @@
 Every subcommand takes --type (e.g. A5, D4, e6; case-insensitive) and emits
 a single JSON document on stdout, except census, which streams JSON lines
 (records, then a summary, then a cross-check report if a battery was given).
-Diagnostics go to stderr only.  --pretty switches to a human-readable
-rendering.
+The cross-check reads each record as it is written, so a failed check ends
+the stream at that record, with no summary.  Diagnostics go to stderr only.
+--pretty switches to a human-readable rendering.
 
 Words and node subsets are whitespace- or comma-separated 1-based indices
 ("3 2 3 4 2 1 2" or "2,3"); weights are coordinate vectors in the
@@ -27,6 +28,8 @@ import json
 import os
 import re
 import sys
+from collections import deque
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from . import census as census_mod
@@ -97,7 +100,9 @@ def _parse_battery(spec: RootSystemSpec, text: str) -> list[tuple[int, ...]]:
             out.append((1,) * spec.rank)
         else:
             out.append(_parse_weight(spec, part))
-    return out
+    if not out:
+        raise ValueError(f"census --battery {text!r} names no weight")
+    return census_mod.check_battery(spec, out)
 
 
 def _parse_levi(spec: RootSystemSpec, text: str, w) -> tuple[int, ...]:
@@ -257,38 +262,21 @@ def _cmd_census(args) -> int:
     cap = args.cap if args.cap is not None else _env_int(
         "LEVISPHERICAL_ENUM_CAP", DEFAULT_ENUM_CAP
     )
-    battery = _parse_battery(spec, args.battery) if args.battery else None
+    battery = None if args.battery is None else _parse_battery(spec, args.battery)
     if args.sample is not None:
         if battery is None:
             raise ValueError("census --sample needs --battery: nothing to cross-check")
         census_mod.check_sample_rate(args.sample)
-    records: Optional[list] = [] if battery is not None else None
-
-    out_file = None
-    try:
-        if args.out:
-            # Refuse before open() truncates a file the run would not fill.
-            census_mod.census_order(spec, cap)
-            out_file = open(args.out, "w")
-            sink = out_file
+    # Every refusal comes before open() truncates a file the run would not fill.
+    summary = census_mod.start_census(spec, levi_mode, cap)
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as sink:
+        records = census_mod.census_records(spec, summary, sink)
+        if battery is None:
+            deque(records, maxlen=0)
         else:
-            sink = sys.stdout
-        summary = census_mod.run_census(
-            spec,
-            levi_mode=levi_mode,
-            cap=cap,
-            sink=sink,
-            records_out=records,
-        )
-    finally:
-        if out_file is not None:
-            out_file.close()
-
+            report = census_mod.cross_check(spec, records, battery, sample=args.sample)
     _emit(summary.to_json_dict(), args.pretty)
     if battery is not None:
-        report = census_mod.cross_check(
-            spec, records, battery, sample=args.sample
-        )
         _emit(report.to_json_dict(), args.pretty)
     return 0
 

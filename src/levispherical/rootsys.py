@@ -249,6 +249,13 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def node_index(spec: RootSystemSpec, i) -> int:
+    """The 0-based index of node i; ValueError unless i is an int in 1..rank."""
+    if not (is_int(i) and 1 <= i <= spec.rank):
+        raise ValueError(f"node index {i} out of range 1..{spec.rank}")
+    return i - 1
+
+
 def weight_reflection(
     spec: RootSystemSpec, wt: tuple[int, ...], j: int
 ) -> tuple[int, ...]:
@@ -288,6 +295,4 @@ def phi_plus_of_subset(spec: RootSystemSpec, nodes) -> frozenset[RootVector]:
 
 def simple_root_in_weight_basis(spec: RootSystemSpec, i: int) -> tuple[int, ...]:
     """alpha_i in fundamental-weight coordinates: row i of the Cartan matrix."""
-    if not 1 <= i <= spec.rank:
-        raise ValueError(f"node index {i} out of range 1..{spec.rank}")
-    return spec.cartan_matrix[i - 1]
+    return spec.cartan_matrix[node_index(spec, i)]

@@ -12,7 +12,8 @@ from levispherical import (
     left_descents,
     run_census,
 )
-from levispherical import census
+from levispherical import MultiplicityCheck, census
+from levispherical.cli import main
 from conftest import spec_of
 from oracles import a_type_census, sym_eval_word
 
@@ -91,6 +92,52 @@ def test_census_streams_records_during_enumeration(monkeypatch):
     summary = run_census(spec_of("D4"), sink=sink)
     assert len(yielded) == summary.group_order == 192
     assert sink.first_write_at is not None and sink.first_write_at < 192
+
+
+def test_census_cross_check_reads_the_live_stream(monkeypatch, capsys):
+    # census --battery checks each record as it is written: the first check
+    # runs before the enumeration has yielded the whole group, so no list of
+    # records is held for the cross-check.
+    enumerate_group = census.enumerate_group
+    yielded = []
+    checked_at = []
+
+    def counting(spec, cap):
+        for w in enumerate_group(spec, cap):
+            yielded.append(w)
+            yield w
+
+    def noting(check):
+        def wrapped(*args, **kwargs):
+            checked_at.append(len(yielded))
+            return check(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(census, "enumerate_group", counting)
+    for name in ("is_multiplicity_free", "witness_search"):
+        monkeypatch.setattr(census, name, noting(getattr(census, name)))
+    assert main(["census", "--type", "D4", "--battery", "rho"]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert len(yielded) == 192
+    assert report["sampled"] == len(checked_at) == 865
+    assert checked_at[0] < 192
+
+
+def test_census_inconsistency_stops_the_stream(monkeypatch, capsys):
+    # A failed check ends the census at its record: stdout holds the records
+    # written so far and no summary, and the exit code is 1.
+    def failing(spec, lam, w, levi):
+        return MultiplicityCheck(False, tuple(lam), 2)
+
+    monkeypatch.setattr(census, "is_multiplicity_free", failing)
+    code = main(["census", "--type", "A2", "--battery", "rho"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "inconsistency" in captured.err
+    lines = [json.loads(line) for line in captured.out.splitlines()]
+    assert 0 < len(lines) < 13
+    assert all(set(line) == {"type", "w", "len", "levi", "d", "spherical"}
+               for line in lines)
 
 
 def test_census_record_stream_is_consistent():
@@ -209,6 +256,10 @@ def test_cross_check_battery_validation():
         cross_check(spec, [], [(1, -1)])
     with pytest.raises(ValueError, match="not dominant"):
         cross_check(spec, [], [(1, 0, 0)])
+    # Checked before the first record is read, not when a record is sampled.
+    for lam in [(True, 0), (0.5, 1)]:
+        with pytest.raises(ValueError, match="not dominant"):
+            cross_check(spec, [], [(1, 1), lam])
 
 
 def test_cross_check_sampling_is_seeded():

@@ -171,6 +171,10 @@ def test_census_battery_appends_report(capsys):
     assert report["witness_found"] == 1
     summary = json.loads(lines[-2])
     assert summary["pair_count"] == 13
+    # The cross-check reads the census stream and leaves its bytes alone.
+    code, plain, err = run_cli(capsys, "census", "--type", "A2")
+    assert code == 0
+    assert lines[:-1] == plain.splitlines()
 
 
 def test_census_out_file_diverts_records(capsys, tmp_path):

@@ -10,6 +10,7 @@ from levispherical import (
     classify,
     cross_check,
     demazure_char,
+    demazure_op,
     from_word,
     levi_irreducible_char,
     witness_search,
@@ -44,6 +45,29 @@ def test_booleans_are_not_integers():
         classify(a2, from_word(a2, [1]), [True])
     with pytest.raises(ValueError, match="integer vector"):
         demazure_char(a2, (True, 0), from_word(a2, [1]))
+    char = demazure_char(a2, (1, 0), from_word(a2, []))
+    with pytest.raises(ValueError, match="node index"):
+        demazure_op(a2, char, True)
+    with pytest.raises(ValueError, match="node index"):
+        rootsys.simple_root_in_weight_basis(a2, True)
+
+
+@pytest.mark.parametrize(
+    "battery,reason",
+    [("", "names no weight"), (";", "names no weight"), ("1 -1", "not dominant")],
+)
+def test_census_battery_refused_before_any_output(capsys, tmp_path, battery, reason):
+    # A battery that names no weight would check nothing; a non-dominant one
+    # would fail at the first spherical record.  Both are refused up front.
+    target = tmp_path / "records.jsonl"
+    target.write_text("earlier records\n")
+    for out in ([], ["--out", str(target)]):
+        code, stdout, err = run_cli(
+            capsys, "census", "--type", "A2", "--battery", battery, *out
+        )
+        assert code == 1 and stdout == ""
+        assert err.startswith("error:") and reason in err
+    assert target.read_text() == "earlier records\n"
 
 
 def test_cross_check_rejects_sample_rate_outside_unit_interval():
