@@ -16,6 +16,15 @@ which is the monomial expansion of (f - e^(-alpha_i) s_i f)/(1 - e^(-alpha_i)).
 pi_i is idempotent, satisfies the braid relations, and its output is
 s_i-symmetric.
 
+The rule is applied one alpha_i-string at a time.  Index the weights of a
+string by their coordinate p = nu_i.  A term c*e^lambda adds +c over the
+positions k, k-2, ..., -k when k >= 0, and -c over -k-2, ..., k+2 when
+k <= -2: in both cases a symmetric interval [-K, K] with K = k or -k-2.
+Collecting the signed inputs of one string as g[K], the output coefficient
+at p is the suffix sum of g over K >= |p|, so each string is walked once
+from its top and mirrored by s_i.  The term ceiling counts every weight a
+step touches, zeros included: K_max + 1 weights per string.
+
 For a reduced word w = s_{i1} s_{i2} ... s_{ik} the Demazure character of
 the module with extreme weight w(lambda) is
 
@@ -43,7 +52,7 @@ sum), then lexicographically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .rootsys import (
     RootSystemSpec,
@@ -173,6 +182,13 @@ def _check_weight(spec: RootSystemSpec, wt) -> Weight:
     return wt
 
 
+def _check_dominant(spec: RootSystemSpec, lam) -> Weight:
+    lam = _check_weight(spec, lam)
+    if not is_dominant(lam):
+        raise NonDominantWeight(f"weight {lam} is not dominant")
+    return lam
+
+
 def reflect_weight(spec: RootSystemSpec, wt, i: int) -> Weight:
     """s_i(wt) = wt - wt_i * alpha_i, in fundamental-weight coordinates."""
     return weight_reflection(spec, _check_weight(spec, wt), node_index(spec, i))
@@ -187,37 +203,76 @@ def is_levi_dominant(wt: Weight, levi) -> bool:
 
 
 def _apply_op(
-    arow: tuple[int, ...],
+    spec: RootSystemSpec,
     i0: int,
-    terms: dict[Weight, int],
+    terms: Mapping[Weight, int],
     max_terms: int | None = None,
 ) -> dict[Weight, int]:
-    """One isobaric Demazure operator on a raw term dict."""
-    out: dict[Weight, int] = {}
-    get = out.get
-    for wt, coeff in terms.items():
-        k = wt[i0]
-        if k >= 0:
-            v = wt
-            for _ in range(k + 1):
-                out[v] = get(v, 0) + coeff
-                v = tuple(a - b for a, b in zip(v, arow))
-        elif k <= -2:
-            v = tuple(a + b for a, b in zip(wt, arow))
-            for _ in range(-k - 1):
-                out[v] = get(v, 0) - coeff
-                v = tuple(a + b for a, b in zip(v, arow))
-        if max_terms is not None and len(out) > max_terms:
+    """pi_{i0+1} on a raw term dict, one alpha-string at a time.
+
+    A string is keyed by its centre, the weight with coordinate i0 in {0, 1}.
+    c*e^mu adds sign*c to g[K] of its string; the coefficient at position
+    p >= 0 is the suffix sum of g over K >= p, and s_i mirrors it to -p.
+    More than max_terms touched weights, zeros included, raises before the
+    output is built.
+    """
+    bonds = spec.weight_bonds[i0]
+    strings: dict[Weight, dict[int, int]] = {}
+    for mu, c in terms.items():
+        k = mu[i0]
+        if k == -1:
+            continue
+        h = k >> 1
+        if h:
+            v = list(mu)
+            v[i0] = k & 1
+            for j, a in bonds:
+                v[j] -= h * a
+            centre = tuple(v)
+        else:
+            centre = mu
+        if k < 0:
+            k, c = -k - 2, -c
+        g = strings.get(centre)
+        if g is None:
+            strings[centre] = {k: c}
+        else:
+            g[k] = g.get(k, 0) + c
+    if max_terms is not None:
+        touched = sum(max(g) + 1 for g in strings.values())
+        if touched > max_terms:
             raise CharacterBudgetExceeded(
                 f"character exceeded the {max_terms}-term ceiling"
             )
-    return {wt: c for wt, c in out.items() if c}
+    out: dict[Weight, int] = {}
+    for centre, g in strings.items():
+        r = centre[i0]
+        s = 0
+        for p in range(max(g), -1, -2):
+            s += g.get(p, 0)
+            if not s:
+                continue
+            v = list(centre)
+            v[i0] = p
+            m = (p - r) >> 1
+            for j, a in bonds:
+                v[j] = centre[j] + m * a
+            out[tuple(v)] = s
+            if p:
+                v[i0] = -p
+                m = -m - r
+                for j, a in bonds:
+                    v[j] = centre[j] + m * a
+                out[tuple(v)] = s
+    return out
 
 
 def demazure_op(spec: RootSystemSpec, f: WeightPoly, i: int) -> WeightPoly:
     """Apply pi_i to a weight polynomial."""
     j = node_index(spec, i)
-    return WeightPoly._wrap(_apply_op(spec.cartan_matrix[j], j, dict(f.items())))
+    for wt in f.weights():
+        _check_weight(spec, wt)
+    return WeightPoly._wrap(_apply_op(spec, j, f._terms))
 
 
 def _char_along_word(
@@ -229,8 +284,9 @@ def _char_along_word(
     """pi_{i1}(...(pi_{ik}(e^lam))...) for word = (i1, ..., ik)."""
     terms = {lam: 1}
     for i in reversed(word):
-        terms = _apply_op(spec.cartan_matrix[i - 1], i - 1, terms, max_terms)
+        terms = _apply_op(spec, i - 1, terms, max_terms)
     return terms
+
 
 def demazure_char(
     spec: RootSystemSpec,
@@ -245,9 +301,7 @@ def demazure_char(
     result is independent of the reduced word used for w, and it is
     s_i-symmetric for every left descent i of w.
     """
-    lam = _check_weight(spec, lam)
-    if not is_dominant(lam):
-        raise NonDominantWeight(f"weight {lam} is not dominant")
+    lam = _check_dominant(spec, lam)
     return WeightPoly._wrap(
         _char_along_word(spec, lam, reduced_word(spec, w), max_terms)
     )
@@ -318,7 +372,9 @@ def decompose_levi(
     multiplicity, is not an L_I-character and raises NotLeviCharacter.
     """
     subset = validate_node_subset(spec, levi)
-    terms = dict(f.items())
+    terms = f._terms
+    for wt in terms:
+        _check_weight(spec, wt)
     for i in subset:
         for wt, c in terms.items():
             if terms.get(weight_reflection(spec, wt, i - 1), 0) != c:
@@ -326,6 +382,25 @@ def decompose_levi(
                     f"the input is not s_{i}-invariant: coefficient {c} at {wt}"
                 )
     return _straighten(spec, terms, subset)
+
+
+def _d_straightener(
+    spec: RootSystemSpec, w: WeylElement, levi, max_terms: int
+) -> Callable[[Weight], tuple[DecompositionEntry, ...]]:
+    """Classify (w, I) once; return lam -> L_I-multiplicities of its module.
+
+    pi_w = pi_{w_0(I)} pi_d with d = w_0(I) w, so the returned function
+    straightens the character of d, bounded by max_terms, and never expands
+    the character of w.  It takes a checked dominant lam.  Raises
+    LeviNotInDescents unless I lies inside the left descents of w.
+    """
+    res = classify(spec, w, levi)
+
+    def multiplicities(lam: Weight) -> tuple[DecompositionEntry, ...]:
+        terms = _char_along_word(spec, lam, res.d_word, max_terms)
+        return _straighten(spec, terms, res.levi)
+
+    return multiplicities
 
 
 def is_multiplicity_free(
@@ -337,12 +412,8 @@ def is_multiplicity_free(
     the Demazure character is a genuine L_I-character).  Only the character
     of d = w_0(I) w is expanded, bounded by DEFAULT_TERM_CEILING.
     """
-    lam = _check_weight(spec, lam)
-    if not is_dominant(lam):
-        raise NonDominantWeight(f"weight {lam} is not dominant")
-    res = classify(spec, w, levi)
-    terms = _char_along_word(spec, lam, res.d_word, DEFAULT_TERM_CEILING)
-    for mu, m in _straighten(spec, terms, res.levi):
+    lam = _check_dominant(spec, lam)
+    for mu, m in _d_straightener(spec, w, levi, DEFAULT_TERM_CEILING)(lam):
         if m >= 2:
             return MultiplicityCheck(False, mu, m)
     return MultiplicityCheck(True, None, None)
@@ -394,17 +465,17 @@ def witness_search(
             f"witness lambda budget {lambda_budget} and term ceiling "
             f"{term_ceiling} must both be at least 1"
         )
-    res = classify(spec, w, levi)
+    multiplicities = _d_straightener(spec, w, levi, term_ceiling)
     tried = 0
     for lam in _dominant_weights_graded(spec.rank, coeff_cap):
         if tried >= lambda_budget:
             break
         tried += 1
         try:
-            terms = _char_along_word(spec, lam, res.d_word, term_ceiling)
+            entries = multiplicities(lam)
         except CharacterBudgetExceeded:
             continue
-        for mu, m in _straighten(spec, terms, res.levi):
+        for mu, m in entries:
             if m >= 2:
                 return Witness(lam, mu, m)
     return None

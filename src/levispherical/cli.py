@@ -14,7 +14,9 @@ fundamental-weight basis.
 Exit codes: 0 success, 1 domain error (bad type, letter out of range, levi
 set not inside the descent set, non-dominant weight, ...), 2 usage error,
 3 budget exhaustion (enumeration cap, character term ceiling, or a witness
-search that ends without a verdict).
+search that ends without a verdict).  When the levi set lies inside the left
+descents of w, decompose and mf-check expand only the character of
+d = w0(I) w, so the term ceiling bounds that character.
 
 Budget defaults can be overridden by environment variables:
 LEVISPHERICAL_ENUM_CAP, LEVISPHERICAL_WITNESS_CAP,
@@ -46,7 +48,7 @@ from .characters import (
     witness_search,
 )
 from .rootsys import RootSystemSpec, build_root_system
-from .sphericality import classify, classify_toric
+from .sphericality import LeviNotInDescents, classify, classify_toric
 from .weyl import (
     DEFAULT_ENUM_CAP,
     CapExceeded,
@@ -189,8 +191,17 @@ def _cmd_decompose(args) -> int:
     w = from_word(spec, _parse_indices(args.word))
     lam = _parse_weight(spec, args.weight)
     levi = _parse_levi(spec, args.levi, w)
-    char = demazure_char(spec, lam, w, max_terms=chars_mod.DEFAULT_TERM_CEILING)
-    entries = decompose_levi(spec, char, levi)
+    chars_mod._check_dominant(spec, lam)
+    ceiling = chars_mod.DEFAULT_TERM_CEILING
+    try:
+        multiplicities = chars_mod._d_straightener(spec, w, levi, ceiling)
+    except LeviNotInDescents:
+        # The character of w can still be W_I-invariant, e.g. for a
+        # non-regular lam, so it is expanded and checked whole.
+        char = demazure_char(spec, lam, w, max_terms=ceiling)
+        entries = decompose_levi(spec, char, levi)
+    else:
+        entries = multiplicities(lam)
     _emit(decomposition_to_json(entries), args.pretty)
     return 0
 

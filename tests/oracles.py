@@ -3,8 +3,9 @@
 Nothing here goes through the library's word or character machinery: the
 dimension oracle uses only the Cartan matrix and the positive-root list via
 the Weyl dimension formula, the counting oracles are closed-form classical
-formulas, and the type-A oracle models the Weyl group as the symmetric
-group on 1..n+1 acting by adjacent transpositions.
+formulas, the type-A oracle models the Weyl group as the symmetric
+group on 1..n+1 acting by adjacent transpositions, and the Demazure oracle
+applies the three-case monomial rule term by term to the Cartan matrix.
 """
 
 from __future__ import annotations
@@ -70,6 +71,42 @@ def weyl_dimension(cartan, positive_roots, lam) -> int:
         dim *= Fraction(num, den)
     assert dim.denominator == 1 and dim > 0
     return int(dim)
+
+
+def demazure_step(cartan, i, terms):
+    """pi_i on a {weight: coeff} dict by the three-case monomial rule.
+
+    With k = mu_i and alpha_i row i of the Cartan matrix, pi_i e^mu is
+    e^mu + e^(mu - alpha_i) + ... + e^(mu - k alpha_i) for k >= 0, zero for
+    k = -1, and -(e^(mu + alpha_i) + ... + e^(mu + (-k-1) alpha_i)) for
+    k <= -2.  Returns the nonzero terms and the number of distinct weights
+    the expansion touched, zeros included.
+    """
+    row = cartan[i - 1]
+    out: dict = {}
+    for mu, c in terms.items():
+        k = mu[i - 1]
+        if k >= 0:
+            shifts, sign = range(0, -k - 1, -1), 1
+        else:
+            shifts, sign = range(1, -k), -1
+        for j in shifts:
+            nu = tuple(m + j * a for m, a in zip(mu, row))
+            out[nu] = out.get(nu, 0) + sign * c
+    return {nu: c for nu, c in out.items() if c}, len(out)
+
+
+def demazure_oracle(cartan, lam, word):
+    """pi_{i1}(...(pi_{ik}(e^lam))...) for word = (i1, ..., ik).
+
+    Returns the character and the largest number of weights one step
+    touched, zeros included.
+    """
+    terms, most = {tuple(lam): 1}, 0
+    for i in reversed(word):
+        terms, touched = demazure_step(cartan, i, terms)
+        most = max(most, touched)
+    return terms, most
 
 
 # Type A as the symmetric group.  A permutation is a tuple p with p[x-1]

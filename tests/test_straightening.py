@@ -5,12 +5,14 @@ straightening replaced; they pin the entry order, not just the entry set.
 """
 
 import hashlib
+import json
 import time
 from itertools import combinations
 
 import pytest
 
 from levispherical import (
+    characters,
     decompose_levi,
     demazure_char,
     enumerate_group,
@@ -19,6 +21,7 @@ from levispherical import (
     left_descents,
     longest_parabolic,
 )
+from levispherical.cli import main
 from conftest import spec_of
 
 
@@ -87,3 +90,31 @@ def test_f4_rho_w0_decomposition_is_fast():
     elapsed = time.perf_counter() - start
     assert ch.mass() == 2 ** 24 and entries
     assert elapsed < 15.0, f"F4 rho decomposition took {elapsed:.1f}s"
+
+
+def test_decompose_command_straightens_the_character_of_d(capsys, monkeypatch):
+    # I = {2, 3} lies in the descents of w, so decompose expands only the
+    # character of d = w_0(I) w: one step touches at most 21 weights there,
+    # against 183 for the character of w.
+    d4 = spec_of("D4")
+    word = [3, 2, 3, 4, 2, 1, 2]
+    argv = ["decompose", "--type", "D4", "--word", "3 2 3 4 2 1 2",
+            "--weight", "1 1 1 1", "--levi", "2 3"]
+    ch = demazure_char(d4, (1, 1, 1, 1), from_word(d4, word))
+    entries = decompose_levi(d4, ch, (2, 3))
+    want = json.dumps(characters.decomposition_to_json(entries))
+    monkeypatch.setattr(characters, "DEFAULT_TERM_CEILING", 21)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want + "\n"
+    monkeypatch.setattr(characters, "DEFAULT_TERM_CEILING", 20)
+    assert main(argv) == 3
+
+
+def test_decompose_command_outside_the_descents(capsys):
+    # I not inside D_L(w): the character of w is expanded and checked whole.
+    assert main(["decompose", "--type", "A2", "--word", "", "--weight", "1 0",
+                 "--levi", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == [{"mu": [1, 0], "mult": 1}]
+    assert main(["decompose", "--type", "A2", "--word", "1", "--weight", "1 1",
+                 "--levi", "2"]) == 1
+    assert "not s_2-invariant" in capsys.readouterr().err

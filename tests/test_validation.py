@@ -197,3 +197,19 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(0, 1), (0, 0, 0, 0), (0, 0.5, 0), (0, 0, True)],
+    ids=["too-short", "too-long", "float", "bool"],
+)
+def test_character_operations_reject_malformed_weights(bad):
+    # Unchecked, each of these keys would flow into the output: a short or
+    # long one next to rank-3 weights, a float or bool one as a coordinate.
+    b3 = spec_of("B3")
+    poly = characters.WeightPoly({(1, 0, 0): 1, bad: 1})
+    with pytest.raises(ValueError, match="integer vector"):
+        demazure_op(b3, poly, 1)
+    with pytest.raises(ValueError, match="integer vector"):
+        characters.decompose_levi(b3, characters.WeightPoly({bad: 1}), [1])
