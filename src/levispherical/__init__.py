@@ -12,8 +12,6 @@ from .rootsys import (
     RootSystemSpec,
     build_root_system,
     parse_cartan_type,
-    phi_plus_of_subset,
-    root_support,
     simple_root_in_weight_basis,
 )
 from .weyl import (
@@ -27,7 +25,6 @@ from .weyl import (
     inverse,
     is_standard_coxeter,
     left_descents,
-    left_inversions,
     length,
     longest_parabolic,
     multiply,

@@ -72,7 +72,11 @@ class NonDominantWeight(ValueError):
 
 
 class NotLeviCharacter(ValueError):
-    """The input is not a character of an L_I-module, so peeling failed."""
+    """The input is not a character of an L_I-module.
+
+    Some s_i with i in I moves it, or its straightening under the W_I dot
+    action leaves a negative multiplicity.
+    """
 
 
 class CharacterBudgetExceeded(RuntimeError):
@@ -369,18 +373,25 @@ def decompose_levi(
     entries reconstruct f exactly, f = sum of mult * levi_irreducible_char(mu),
     and come in descending order of the height of mu, then of its coordinate
     sum, then lexicographically.  A non-invariant f, or one with a negative
-    multiplicity, is not an L_I-character and raises NotLeviCharacter.
+    multiplicity, is not an L_I-character and raises NotLeviCharacter; the
+    message names the smallest i in I that moves f and the smallest moved
+    weight in weight_sort_key order, whatever the order of f's terms.
     """
     subset = validate_node_subset(spec, levi)
     terms = f._terms
     for wt in terms:
         _check_weight(spec, wt)
     for i in subset:
-        for wt, c in terms.items():
-            if terms.get(weight_reflection(spec, wt, i - 1), 0) != c:
-                raise NotLeviCharacter(
-                    f"the input is not s_{i}-invariant: coefficient {c} at {wt}"
-                )
+        moved = [
+            wt
+            for wt, c in terms.items()
+            if terms.get(weight_reflection(spec, wt, i - 1), 0) != c
+        ]
+        if moved:
+            wt = min(moved, key=weight_sort_key)
+            raise NotLeviCharacter(
+                f"the input is not s_{i}-invariant: coefficient {terms[wt]} at {wt}"
+            )
     return _straighten(spec, terms, subset)
 
 

@@ -15,19 +15,18 @@ Exit codes: 0 success, 1 domain error (bad type, letter out of range, levi
 set not inside the descent set, non-dominant weight, ...), 2 usage error,
 3 budget exhaustion (enumeration cap, character term ceiling, or a witness
 search that ends without a verdict).  When the levi set lies inside the left
-descents of w, decompose and mf-check expand only the character of
-d = w0(I) w, so the term ceiling bounds that character.
+descents of w, decompose, mf-check and witness expand only the character
+of d = w0(I) w, so the term ceiling bounds that character.
 
-Budget defaults can be overridden by environment variables:
-LEVISPHERICAL_ENUM_CAP, LEVISPHERICAL_WITNESS_CAP,
-LEVISPHERICAL_WITNESS_LAMBDA_BUDGET, LEVISPHERICAL_WITNESS_TERM_CEILING.
+--cap on census and witness is the only budget override.  Every character
+command reads the lambda budget and the term ceiling from the characters
+module when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from collections import deque
@@ -38,8 +37,6 @@ from . import census as census_mod
 from . import characters as chars_mod
 from .characters import (
     CharacterBudgetExceeded,
-    DEFAULT_LAMBDA_BUDGET,
-    DEFAULT_TERM_CEILING,
     DEFAULT_WITNESS_CAP,
     decomposition_to_json,
     decompose_levi,
@@ -56,16 +53,6 @@ from .weyl import (
     left_descents,
     reduced_word,
 )
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name}={raw!r} is not an integer")
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -231,21 +218,18 @@ def _cmd_witness(args) -> int:
     spec = build_root_system(args.type)
     w = from_word(spec, _parse_indices(args.word))
     levi = _parse_levi(spec, args.levi, w)
-    cap = args.cap if args.cap is not None else _env_int(
-        "LEVISPHERICAL_WITNESS_CAP", DEFAULT_WITNESS_CAP
-    )
-    budget = _env_int("LEVISPHERICAL_WITNESS_LAMBDA_BUDGET", DEFAULT_LAMBDA_BUDGET)
-    ceiling = _env_int("LEVISPHERICAL_WITNESS_TERM_CEILING", DEFAULT_TERM_CEILING)
+    budget = chars_mod.DEFAULT_LAMBDA_BUDGET
     found = witness_search(
-        spec, w, levi, cap, lambda_budget=budget, term_ceiling=ceiling
+        spec, w, levi, args.cap, lambda_budget=budget,
+        term_ceiling=chars_mod.DEFAULT_TERM_CEILING,
     )
     if found is None:
         _emit(
-            {"found": False, "coeff_cap": cap, "lambda_budget": budget},
+            {"found": False, "coeff_cap": args.cap, "lambda_budget": budget},
             args.pretty,
         )
         print(
-            f"no witness with coordinates <= {cap}; inconclusive",
+            f"no witness with coordinates <= {args.cap}; inconclusive",
             file=sys.stderr,
         )
         return 3
@@ -270,16 +254,13 @@ def _cmd_census(args) -> int:
         ]
     except KeyError:
         raise ValueError(f"census --levi must be 'all' or 'descents', got {args.levi!r}")
-    cap = args.cap if args.cap is not None else _env_int(
-        "LEVISPHERICAL_ENUM_CAP", DEFAULT_ENUM_CAP
-    )
     battery = None if args.battery is None else _parse_battery(spec, args.battery)
     if args.sample is not None:
         if battery is None:
             raise ValueError("census --sample needs --battery: nothing to cross-check")
         census_mod.check_sample_rate(args.sample)
     # Every refusal comes before open() truncates a file the run would not fill.
-    summary = census_mod.start_census(spec, levi_mode, cap)
+    summary = census_mod.start_census(spec, levi_mode, args.cap)
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as sink:
         records = census_mod.census_records(spec, summary, sink)
         if battery is None:
@@ -350,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p)
     p.add_argument("--levi", default="", help="node subset or 'descents'")
-    p.add_argument("--cap", type=int, default=None, help="weight coordinate cap")
+    p.add_argument(
+        "--cap", type=int, default=DEFAULT_WITNESS_CAP, help="weight coordinate cap"
+    )
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("census", help="classify every element of the group")
@@ -360,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="'all' for every descent subset, 'descents' for I = D_L(w) only",
     )
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap")
+    p.add_argument(
+        "--cap", type=int, default=DEFAULT_ENUM_CAP, help="enumeration cap"
+    )
     p.add_argument("--out", default=None, help="write records to this file")
     p.add_argument(
         "--battery",

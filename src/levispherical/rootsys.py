@@ -239,11 +239,6 @@ def build_root_system(ct: CartanType | str) -> RootSystemSpec:
     return _build(ct)
 
 
-def root_support(v: RootVector) -> frozenset[int]:
-    """Nodes (1-based) whose simple root occurs in v with nonzero coefficient."""
-    return frozenset(i + 1 for i, c in enumerate(v) if c != 0)
-
-
 def is_int(x) -> bool:
     """An int proper: bool is an int subclass but never an index or coordinate."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -279,18 +274,6 @@ def validate_node_subset(spec: RootSystemSpec, nodes) -> tuple[int, ...]:
             f"node indices {bad} out of range 1..{spec.rank} for {spec.cartan_type}"
         )
     return tuple(sorted(set(nodes)))
-
-
-def phi_plus_of_subset(spec: RootSystemSpec, nodes) -> frozenset[RootVector]:
-    """Positive roots supported on the given node subset.
-
-    This is the positive system of the standard parabolic subsystem: for
-    nodes I, the roots in Phi^+ lying in the span of {alpha_i : i in I}.
-    """
-    subset = frozenset(validate_node_subset(spec, nodes))
-    return frozenset(
-        v for v in spec.positive_roots if root_support(v) <= subset
-    )
 
 
 def simple_root_in_weight_basis(spec: RootSystemSpec, i: int) -> tuple[int, ...]:

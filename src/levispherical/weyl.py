@@ -25,16 +25,13 @@ descent), so its canonical word is the parent's with m prepended.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Optional
 
 from .rootsys import (
-    Matrix,
     RootSystemSpec,
-    RootVector,
     is_int,
-    root_reflection,
     validate_node_subset,
     weight_reflection,
 )
@@ -75,24 +72,6 @@ class WeylElement:
             word = _word(self.spec, self.rho_image)
             object.__setattr__(self, "known_word", word)
         return word
-
-    @cached_property
-    def rows(self) -> Matrix:
-        """Matrix of w on the root lattice, simple-root basis: column j is w(alpha_j).
-
-        Built on first use from the canonical word; nothing in the package
-        computes with it.
-        """
-        cartan = self.spec.cartan_matrix
-        word = self.word
-        n = len(cartan)
-        columns = []
-        for j in range(n):
-            v = tuple(int(k == j) for k in range(n))
-            for i in reversed(word):
-                v = root_reflection(cartan, v, i - 1)
-            columns.append(v)
-        return tuple(zip(*columns))
 
 
 def apply_word(spec: RootSystemSpec, word: Iterable[int], wt: Weight) -> Weight:
@@ -176,21 +155,6 @@ def left_descents(spec: RootSystemSpec, w: WeylElement) -> frozenset[int]:
     return frozenset(j + 1 for j, c in enumerate(w.rho_image) if c < 0)
 
 
-def left_inversions(spec: RootSystemSpec, w: WeylElement) -> frozenset[RootVector]:
-    """Phi^+ intersect w(Phi^-): positive roots sent negative by w^{-1}."""
-    cartan = spec.cartan_matrix
-    # w^{-1} = s_ik ... s_i1, so the first letter of w's word acts first.
-    word = [i - 1 for i in w.word]
-    out = []
-    for alpha in spec.positive_roots:
-        v = alpha
-        for j in word:
-            v = root_reflection(cartan, v, j)
-        if any(c < 0 for c in v):
-            out.append(alpha)
-    return frozenset(out)
-
-
 @lru_cache(maxsize=None)
 def _longest_parabolic(spec: RootSystemSpec, subset: tuple[int, ...]) -> WeylElement:
     # Keyed by (spec, validated subset): at most 2**rank entries per type.
@@ -198,10 +162,6 @@ def _longest_parabolic(spec: RootSystemSpec, subset: tuple[int, ...]) -> WeylEle
     while (j := next((i - 1 for i in subset if wt[i - 1] > 0), None)) is not None:
         wt = weight_reflection(spec, wt, j)
     return WeylElement(spec, wt)
-
-
-def clear_caches() -> None:
-    _longest_parabolic.cache_clear()
 
 
 def longest_parabolic(spec: RootSystemSpec, nodes) -> WeylElement:

@@ -3,7 +3,9 @@
 Nothing here goes through the library's word or character machinery: the
 dimension oracle uses only the Cartan matrix and the positive-root list via
 the Weyl dimension formula, the counting oracles are closed-form classical
-formulas, the type-A oracle models the Weyl group as the symmetric
+formulas, the census oracle is Macdonald's product for the Poincare
+polynomial, the root-coordinate oracles reflect roots letter by letter with
+the Cartan matrix, the type-A oracle models the Weyl group as the symmetric
 group on 1..n+1 acting by adjacent transpositions, and the Demazure oracle
 applies the three-case monomial rule term by term to the Cartan matrix.
 """
@@ -38,6 +40,121 @@ def group_order(family: str, n: int) -> int:
         "F": 1152,
         "G": 12,
     }[family]
+
+
+def root_support(v) -> frozenset[int]:
+    """Nodes (1-based) whose simple root occurs in v with nonzero coefficient."""
+    return frozenset(i + 1 for i, c in enumerate(v) if c != 0)
+
+
+def phi_plus_of_subset(spec, nodes) -> frozenset:
+    """Positive roots supported on the node subset: the positive system of W_I."""
+    nodes = frozenset(nodes)
+    if not all(1 <= i <= spec.rank for i in nodes):
+        raise ValueError(f"node indices {sorted(nodes)} out of range 1..{spec.rank}")
+    return frozenset(v for v in spec.positive_roots if root_support(v) <= nodes)
+
+
+def _reflect_root(cartan, v, j):
+    """s_j(v) in simple-root coordinates, j 1-based: only coordinate j changes."""
+    cj = v[j - 1] - sum(cartan[k][j - 1] * c for k, c in enumerate(v))
+    return v[: j - 1] + (cj,) + v[j:]
+
+
+def rows(w):
+    """Matrix of w on the root lattice, simple-root basis: column j is w(alpha_j).
+
+    Built from the Cartan matrix and the word of w, letter by letter.
+    """
+    cartan = w.spec.cartan_matrix
+    n = len(cartan)
+    columns = []
+    for j in range(n):
+        v = tuple(int(k == j) for k in range(n))
+        for i in reversed(w.word):
+            v = _reflect_root(cartan, v, i)
+        columns.append(v)
+    return tuple(zip(*columns))
+
+
+def left_inversions(spec, w) -> frozenset:
+    """Phi^+ intersect w(Phi^-): the positive roots that w^{-1} sends negative."""
+    out = []
+    for alpha in spec.positive_roots:
+        v = alpha
+        # w^{-1} = s_ik ... s_i1, so the first letter of w's word acts first.
+        for i in w.word:
+            v = _reflect_root(spec.cartan_matrix, v, i)
+        if any(c < 0 for c in v):
+            out.append(alpha)
+    return frozenset(out)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_div_exact(a, b):
+    """a / b for integer coefficient lists, b monic; raises unless b divides a."""
+    a, quot = list(a), [0] * (len(a) - len(b) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = a[k + len(b) - 1]
+        for j, y in enumerate(b):
+            a[k + j] -= quot[k] * y
+    if any(a):
+        raise ArithmeticError("polynomial division leaves a remainder")
+    return quot
+
+
+def poincare_polynomial(roots):
+    """Macdonald: prod over positive roots of [ht + 1]_q / [ht]_q, as coefficients.
+
+    [m]_q = 1 + q + ... + q^(m-1); the heights are coordinate sums in the
+    simple-root basis, so any positive system (a parabolic one too) works.
+    """
+    num, den = [1], [1]
+    for alpha in roots:
+        h = sum(alpha)
+        num = _poly_mul(num, [1] * (h + 1))
+        den = _poly_mul(den, [1] * h)
+    return _poly_div_exact(num, den)
+
+
+def census_oracle(spec) -> dict:
+    """The closed-form part of an all-subsets census summary.
+
+    by_length elements are the coefficients of P_W(q).  The w with I in
+    D_L(w) are w_0(I) times a minimal coset representative, so by_length
+    pairs are the coefficients of sum over I of q^(N_I) P_W / P_(W_I), with
+    N_I = |Phi^+_I|.  The toric pairs (I empty, w a standard Coxeter
+    element) with support J are the acyclic orientations of the Dynkin
+    forest on J, 2^edges(J) of them (Shi, 1997).
+    """
+    n, cartan = spec.rank, spec.cartan_matrix
+    p_w = poincare_polynomial(spec.positive_roots)
+    pairs = [0] * len(p_w)
+    toric = 0
+    for k in range(n + 1):
+        for subset in itertools.combinations(range(1, n + 1), k):
+            roots_i = phi_plus_of_subset(spec, subset)
+            cosets = _poly_div_exact(p_w, poincare_polynomial(roots_i))
+            for deg, c in enumerate(cosets):
+                pairs[len(roots_i) + deg] += c
+            edges = itertools.combinations(subset, 2)
+            toric += 2 ** sum(1 for i, j in edges if cartan[i - 1][j - 1])
+    return {
+        "group_order": sum(p_w),
+        "pair_count": sum(pairs),
+        "toric_count": toric,
+        "by_length": {
+            str(deg): {"elements": e, "pairs": p}
+            for deg, (e, p) in enumerate(zip(p_w, pairs))
+        },
+    }
 
 
 def symmetrizer(cartan) -> list[Fraction]:

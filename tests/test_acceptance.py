@@ -18,12 +18,10 @@ from levispherical import (
     enumerate_group,
     from_word,
     left_descents,
-    left_inversions,
     length,
     levi_irreducible_char,
     longest_parabolic,
     multiply,
-    phi_plus_of_subset,
     reduced_word,
     reflect_weight,
     run_census,
@@ -31,7 +29,14 @@ from levispherical import (
     witness_search,
 )
 from conftest import random_element, random_length_additive_pair, spec_of
-from oracles import a_type_census, sym_eval_word, weyl_dimension
+from oracles import (
+    a_type_census,
+    left_inversions,
+    phi_plus_of_subset,
+    rows,
+    sym_eval_word,
+    weyl_dimension,
+)
 
 BATTERY_TYPES = ["A1", "A2", "A3", "B2", "B3", "G2", "D4", "F4"]
 
@@ -107,9 +112,10 @@ def test_criterion_04_inversion_identities():
                 uv = multiply(spec, u, v)
                 assert length(spec, uv) == length(spec, u) + length(spec, v)
                 iu = left_inversions(spec, u)
+                matrix = rows(u)
                 mapped = {
                     tuple(
-                        sum(u.rows[r][k] * alpha[k] for k in range(n))
+                        sum(matrix[r][k] * alpha[k] for k in range(n))
                         for r in range(n)
                     )
                     for alpha in left_inversions(spec, v)

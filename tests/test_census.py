@@ -15,13 +15,30 @@ from levispherical import (
 from levispherical import MultiplicityCheck, census
 from levispherical.cli import main
 from conftest import spec_of
-from oracles import a_type_census, sym_eval_word
+from oracles import a_type_census, census_oracle, sym_eval_word
 
 
 def census_lines(type_str, **kw):
     sink = io.StringIO()
     summary = run_census(spec_of(type_str), sink=sink, **kw)
     return sink.getvalue(), summary
+
+
+@pytest.mark.parametrize(
+    "type_str",
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4"],
+)
+def test_census_summary_matches_closed_forms(type_str):
+    spec = spec_of(type_str)
+    summary = run_census(spec).to_json_dict()
+    oracle = census_oracle(spec)
+    for key in ("group_order", "pair_count", "toric_count"):
+        assert summary[key] == oracle[key]
+    counts = {
+        deg: {"elements": row["elements"], "pairs": row["pairs"]}
+        for deg, row in summary["by_length"].items()
+    }
+    assert counts == oracle["by_length"]
 
 
 def test_a2_against_brute_force_fixture():

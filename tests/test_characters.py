@@ -311,6 +311,21 @@ def test_decompose_levi_rejects_non_characters():
         decompose_levi(a2, ch, (2,))
 
 
+def test_not_levi_character_message_ignores_term_order():
+    # The smallest moving node, then its smallest moved weight in
+    # weight_sort_key order: one polynomial gives one message.
+    a3 = spec_of("A3")
+    items = list(demazure_char(a3, (0, 1, 2), from_word(a3, [3, 1, 2])).items())
+    messages = set()
+    for order in (items, items[::-1]):
+        with pytest.raises(NotLeviCharacter) as exc:
+            decompose_levi(a3, WeightPoly(dict(order)), (1, 2, 3))
+        messages.add(str(exc.value))
+    assert messages == {
+        "the input is not s_2-invariant: coefficient 1 at (-1, 3, -3)"
+    }
+
+
 def test_is_multiplicity_free_trivial_and_golden():
     a2 = spec_of("A2")
     chk = is_multiplicity_free(a2, (2, 3), identity(a2), ())

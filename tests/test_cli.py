@@ -202,23 +202,6 @@ def test_census_rejects_bad_levi_mode(capsys):
     assert "must be 'all' or 'descents'" in err
 
 
-def test_enum_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("LEVISPHERICAL_ENUM_CAP", "5")
-    code, out, err = run_cli(capsys, "census", "--type", "B2")
-    assert code == 3
-    assert out == ""
-
-
-def test_witness_env_budget_override(capsys, monkeypatch):
-    monkeypatch.setenv("LEVISPHERICAL_WITNESS_LAMBDA_BUDGET", "1")
-    code, out, err = run_cli(
-        capsys, "witness", "--type", "D4", "--word", "3 2 3 4 2 1 2",
-        "--levi", "2 3",
-    )
-    assert code == 3
-    assert json.loads(out)["found"] is False
-
-
 def test_domain_error_exit_codes(capsys):
     # Unknown Cartan type
     code, out, err = run_cli(

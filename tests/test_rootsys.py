@@ -4,11 +4,9 @@ from levispherical import (
     InvalidCartanType,
     build_root_system,
     parse_cartan_type,
-    phi_plus_of_subset,
-    root_support,
     simple_root_in_weight_basis,
 )
-from oracles import positive_root_count
+from oracles import phi_plus_of_subset, positive_root_count, root_support
 
 ALL_TYPES = [
     "A1", "A2", "A3", "A4", "A5",

@@ -10,12 +10,12 @@ from levispherical import (
     from_word,
     identity,
     left_descents,
-    left_inversions,
     length,
     multiply,
     simple_reflection,
 )
 from conftest import spec_of
+from oracles import left_inversions
 
 
 def brute_standard_coxeter_set(spec):

@@ -1,6 +1,7 @@
 """Input validation, budget bounds and internal invariants."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -27,8 +28,7 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_census_cap_refusal_keeps_out_file(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("LEVISPHERICAL_ENUM_CAP", raising=False)
+def test_census_cap_refusal_keeps_out_file(capsys, tmp_path):
     target = tmp_path / "records.jsonl"
     target.write_text("earlier records\n")
     code, out, err = run_cli(capsys, "census", "--type", "E7", "--out", str(target))
@@ -115,6 +115,22 @@ def test_character_commands_respect_term_ceiling(capsys, monkeypatch, command, e
     assert "budget exhausted" in err
 
 
+def test_witness_command_respects_term_ceiling(capsys, monkeypatch):
+    # At 10 terms every lambda is skipped, so the search that finds a
+    # witness under the default ceiling ends without a verdict.
+    monkeypatch.setattr(characters, "DEFAULT_TERM_CEILING", 10)
+    code, out, err = run_cli(
+        capsys, "witness", "--type", "D4", "--word", "3 2 3 4 2 1 2",
+        "--levi", "2 3",
+    )
+    assert code == 3
+    assert json.loads(out) == {
+        "found": False,
+        "coeff_cap": characters.DEFAULT_WITNESS_CAP,
+        "lambda_budget": characters.DEFAULT_LAMBDA_BUDGET,
+    }
+
+
 def test_witness_search_rejects_empty_budgets():
     d4 = spec_of("D4")
     w = from_word(d4, [3, 2, 3, 4, 2, 1, 2])
@@ -133,19 +149,6 @@ def test_witness_negative_cap_exits_one(capsys):
     )
     assert code == 1 and out == ""
     assert "coefficient cap" in err
-
-
-@pytest.mark.parametrize(
-    "name",
-    ["LEVISPHERICAL_WITNESS_LAMBDA_BUDGET", "LEVISPHERICAL_WITNESS_TERM_CEILING"],
-)
-def test_witness_budget_below_one_exits_one(capsys, monkeypatch, name):
-    monkeypatch.setenv(name, "-5")
-    code, out, err = run_cli(
-        capsys, "witness", "--type", "D4", "--word", "3 2 3 4 2 1 2",
-        "--levi", "2 3",
-    )
-    assert code == 1 and out == ""
 
 
 def test_root_count_invariant_raises(monkeypatch):

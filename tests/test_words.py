@@ -28,7 +28,7 @@ def test_census_strips_only_d_and_each_w0_once(monkeypatch):
         return strip(spec, wt)
 
     monkeypatch.setattr(weyl, "_word", counting)
-    weyl.clear_caches()
+    weyl._longest_parabolic.cache_clear()
     summary = run_census(spec)
     assert summary.pair_count == 5089
     # One strip per record (its d) plus one per longest parabolic w0(I).
