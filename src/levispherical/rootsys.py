@@ -189,10 +189,6 @@ class RootSystemSpec:
         return self.cartan_type.rank
 
     @cached_property
-    def positive_root_set(self) -> frozenset[RootVector]:
-        return frozenset(self.positive_roots)
-
-    @cached_property
     def weight_bonds(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """For each node j (0-based): the (k, C[j][k]) with k != j, entry nonzero.
 

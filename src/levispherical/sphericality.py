@@ -11,7 +11,8 @@ length-additive when I lies inside the descent set:
 
     length(w) = length(w_0(I)) + length(d),
 
-and classify() checks this identity as an internal invariant.
+and classify() and the census check this identity on every pair, through
+the one kernel _split.
 
 The toric case is I = {}: X_w has a dense torus orbit iff w itself is a
 standard Coxeter element.
@@ -21,8 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import weyl
 from .rootsys import CartanType, RootSystemSpec, validate_node_subset
 from .weyl import (
+    Weight,
     WeylElement,
     _longest_parabolic,
     apply_word,
@@ -75,6 +78,31 @@ class ClassificationResult:
         }
 
 
+def _split(
+    spec: RootSystemSpec,
+    rho_image: Weight,
+    w_word: tuple[int, ...],
+    subset: tuple[int, ...],
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The words of w_0(I) and d = w_0(I) w, for w given by w(rho) and its word.
+
+    subset must be a validated I inside the left descent set of w.  Raises
+    LengthAdditivityError unless length(w) = length(w_0(I)) + length(d).
+    The word of the memoised w_0(I) is stripped once per subset; only d's is
+    new here.  weyl._word is looked up at each call, so that a test counting
+    strips sees every one.
+    """
+    w0i_word = _longest_parabolic(spec, subset).word
+    # w_0(I) is an involution, so d = w_0(I)^{-1} w = w_0(I) w.
+    d_word = weyl._word(spec, apply_word(spec, w0i_word, rho_image))
+    if len(w_word) != len(w0i_word) + len(d_word):
+        raise LengthAdditivityError(
+            f"length({w_word}) = {len(w_word)} but length(w_0({list(subset)})) + "
+            f"length(d) = {len(w0i_word)} + {len(d_word)}"
+        )
+    return w0i_word, d_word
+
+
 def classify(spec: RootSystemSpec, w: WeylElement, levi) -> ClassificationResult:
     """Decide whether X_w is L_I-spherical, with the full audit trail.
 
@@ -87,23 +115,8 @@ def classify(spec: RootSystemSpec, w: WeylElement, levi) -> ClassificationResult
     if offending:
         raise LeviNotInDescents(offending, left_descents(spec, w))
 
-    # The words of w and of the memoised w_0(I) are stripped once per
-    # element; only d's is new here.  subset is validated already.
-    w0i_word = _longest_parabolic(spec, subset).word
-    # w_0(I) is an involution, so d = w_0(I)^{-1} w = w_0(I) w.
-    d = WeylElement(spec, apply_word(spec, w0i_word, w.rho_image))
-
     w_word = w.word
-    d_word = d.word
-    len_w = len(w_word)
-    len_w0i = len(w0i_word)
-    len_d = len(d_word)
-    if len_w != len_w0i + len_d:
-        raise LengthAdditivityError(
-            f"length({w_word}) = {len_w} but length(w_0({list(subset)})) + "
-            f"length(d) = {len_w0i} + {len_d}"
-        )
-
+    w0i_word, d_word = _split(spec, w.rho_image, w_word, subset)
     support_d = tuple(sorted(set(d_word)))
     return ClassificationResult(
         cartan_type=spec.cartan_type,
@@ -111,10 +124,10 @@ def classify(spec: RootSystemSpec, w: WeylElement, levi) -> ClassificationResult
         levi=subset,
         d_word=d_word,
         support_d=support_d,
-        len_w=len_w,
-        len_w0I=len_w0i,
-        len_d=len_d,
-        spherical=len_d == len(support_d),
+        len_w=len(w_word),
+        len_w0I=len(w0i_word),
+        len_d=len(d_word),
+        spherical=len(d_word) == len(support_d),
     )
 
 

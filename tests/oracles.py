@@ -4,10 +4,12 @@ Nothing here goes through the library's word or character machinery: the
 dimension oracle uses only the Cartan matrix and the positive-root list via
 the Weyl dimension formula, the counting oracles are closed-form classical
 formulas, the census oracle is Macdonald's product for the Poincare
-polynomial, the root-coordinate oracles reflect roots letter by letter with
-the Cartan matrix, the type-A oracle models the Weyl group as the symmetric
-group on 1..n+1 acting by adjacent transpositions, and the Demazure oracle
-applies the three-case monomial rule term by term to the Cartan matrix.
+polynomial and the acyclic orientations of the Dynkin forest for the
+Coxeter elements, the root-coordinate oracles reflect roots letter by
+letter with the Cartan matrix, the type-A oracle models the Weyl group as
+the symmetric group on 1..n+1 acting by adjacent transpositions, and the
+Demazure oracle applies the three-case monomial rule term by term to the
+Cartan matrix.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ def group_order(family: str, n: int) -> int:
         "F": 1152,
         "G": 12,
     }[family]
+
+
+def positive_root_set(spec) -> frozenset:
+    """The positive roots as a set, for membership tests."""
+    return frozenset(spec.positive_roots)
 
 
 def root_support(v) -> frozenset[int]:
@@ -124,6 +131,29 @@ def poincare_polynomial(roots):
     return _poly_div_exact(num, den)
 
 
+def coxeter_elements(cartan) -> list[tuple[int, frozenset]]:
+    """(length, left descents) of every standard Coxeter element.
+
+    A standard Coxeter element with support J is an acyclic orientation of
+    the Dynkin forest on J (a -> b when s_a comes before s_b in its word).
+    Its length is |J|, and its left descents are the sources: the letters
+    that no neighbour precedes.
+    """
+    n = len(cartan)
+    out = []
+    for k in range(n + 1):
+        for support in itertools.combinations(range(1, n + 1), k):
+            edges = [
+                (a, b)
+                for a, b in itertools.combinations(support, 2)
+                if cartan[a - 1][b - 1]
+            ]
+            for flips in itertools.product((False, True), repeat=len(edges)):
+                heads = {a if flip else b for (a, b), flip in zip(edges, flips)}
+                out.append((k, frozenset(support) - heads))
+    return out
+
+
 def census_oracle(spec) -> dict:
     """The closed-form part of an all-subsets census summary.
 
@@ -132,27 +162,33 @@ def census_oracle(spec) -> dict:
     pairs are the coefficients of sum over I of q^(N_I) P_W / P_(W_I), with
     N_I = |Phi^+_I|.  The toric pairs (I empty, w a standard Coxeter
     element) with support J are the acyclic orientations of the Dynkin
-    forest on J, 2^edges(J) of them (Shi, 1997).
+    forest on J, 2^edges(J) of them (Shi, 1997).  The spherical pairs are
+    the (I, c) with c a standard Coxeter element whose left descents miss
+    I, since d = c must be a minimal coset representative; such a pair has
+    w = w_0(I) c of length N_I + length(c).
     """
-    n, cartan = spec.rank, spec.cartan_matrix
+    n = spec.rank
     p_w = poincare_polynomial(spec.positive_roots)
+    coxeter = coxeter_elements(spec.cartan_matrix)
     pairs = [0] * len(p_w)
-    toric = 0
+    spherical = [0] * len(p_w)
     for k in range(n + 1):
         for subset in itertools.combinations(range(1, n + 1), k):
             roots_i = phi_plus_of_subset(spec, subset)
             cosets = _poly_div_exact(p_w, poincare_polynomial(roots_i))
             for deg, c in enumerate(cosets):
                 pairs[len(roots_i) + deg] += c
-            edges = itertools.combinations(subset, 2)
-            toric += 2 ** sum(1 for i, j in edges if cartan[i - 1][j - 1])
+            for size, descents in coxeter:
+                if descents.isdisjoint(subset):
+                    spherical[len(roots_i) + size] += 1
     return {
         "group_order": sum(p_w),
         "pair_count": sum(pairs),
-        "toric_count": toric,
+        "spherical_count": sum(spherical),
+        "toric_count": len(coxeter),
         "by_length": {
-            str(deg): {"elements": e, "pairs": p}
-            for deg, (e, p) in enumerate(zip(p_w, pairs))
+            str(deg): {"elements": e, "pairs": p, "spherical": s}
+            for deg, (e, p, s) in enumerate(zip(p_w, pairs, spherical))
         },
     }
 

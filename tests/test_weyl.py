@@ -1,4 +1,6 @@
+import enum
 import itertools
+import re
 
 import pytest
 
@@ -24,6 +26,7 @@ from oracles import (
     group_order,
     left_inversions,
     phi_plus_of_subset,
+    positive_root_set,
     rows,
     sym_eval_word,
     sym_left_descents,
@@ -55,11 +58,34 @@ def test_from_word_rejects_bad_letters():
         from_word(a2, [0, 1])
 
 
+@pytest.mark.parametrize("bad", ["zero", "rank+1", True, 1.0, "1", None])
+@pytest.mark.parametrize("pos", [1, 2, 117, 200])
+def test_from_word_names_the_bad_letter_of_a_long_word(bad, pos):
+    spec = spec_of("D4")
+    bad = {"zero": 0, "rank+1": spec.rank + 1}.get(bad, bad)
+    word = [1 + k % spec.rank for k in range(200)]
+    word[pos - 1] = bad
+    message = re.escape(f"letter {bad!r} at position {pos} ")
+    with pytest.raises(WordLetterError, match=message):
+        from_word(spec, word)
+
+
+def test_from_word_accepts_int_subclass_letters():
+    class Node(enum.IntEnum):
+        ONE = 1
+        TWO = 2
+
+    a2 = spec_of("A2")
+    word = [Node.ONE, Node.TWO, 1] * 50
+    assert from_word(a2, word) == from_word(a2, [int(i) for i in word])
+
+
 def test_matrix_columns_are_root_images(rng):
     # Every w permutes the roots up to sign: column images lie in +-Phi^+.
     for type_str in ("B3", "D4", "G2"):
         spec = spec_of(type_str)
         n = spec.rank
+        roots = positive_root_set(spec)
         for _ in range(25):
             w = random_element(spec, rng)
             matrix = rows(w)
@@ -68,10 +94,7 @@ def test_matrix_columns_are_root_images(rng):
                     sum(matrix[r][k] * alpha[k] for k in range(n))
                     for r in range(n)
                 )
-                assert (
-                    img in spec.positive_root_set
-                    or tuple(-c for c in img) in spec.positive_root_set
-                )
+                assert img in roots or tuple(-c for c in img) in roots
 
 
 def test_golden_word_lengths():

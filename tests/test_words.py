@@ -31,8 +31,9 @@ def test_census_strips_only_d_and_each_w0_once(monkeypatch):
     weyl._longest_parabolic.cache_clear()
     summary = run_census(spec)
     assert summary.pair_count == 5089
-    # One strip per record (its d) plus one per longest parabolic w0(I).
-    assert calls <= summary.pair_count + 2**spec.rank
+    # One strip per record (its d) plus one per longest parabolic w0(I);
+    # the lower bound fails if the census strips d without weyl._word.
+    assert summary.pair_count <= calls <= summary.pair_count + 2**spec.rank
 
 
 @pytest.mark.parametrize("type_str", ["B3", "G2"])
