@@ -27,12 +27,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
-from .characters import (
-    DEFAULT_WITNESS_CAP,
-    Weight,
-    is_multiplicity_free,
-    witness_search,
-)
+from .characters import Weight, is_multiplicity_free, witness_search
 from .rootsys import CartanType, RootSystemSpec, is_int
 from .sphericality import _split
 # Not called here: perfbench/test_perfbench.py checks that its tracer rebinds
@@ -260,15 +255,16 @@ def cross_check(
     battery: Sequence[Weight],
     sample: Optional[float] = None,
     *,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
     seed: int = 0,
 ) -> CrossCheckReport:
     """Validate census records by explicit character computation.
 
     Spherical records must be multiplicity-free for every battery weight;
     any failure raises InconsistencyError naming (w, I, lambda, mu).
-    Non-spherical records are handed to witness_search; not finding a
-    witness within the budget is counted as inconclusive, not an error.
+    Non-spherical records are handed to witness_search at its default
+    coefficient cap; not finding a witness within the character budget (the
+    lambda budget and term ceiling of the characters module) is counted as
+    inconclusive, not an error.
 
     Sampling is deterministic given the seed: one draw per record, in
     record order.  The default rate is 1.0 for groups of at most 500
@@ -295,7 +291,7 @@ def cross_check(
                     raise InconsistencyError(rec, lam, chk.witness, chk.multiplicity)
             report.spherical_checked += 1
         else:
-            found = witness_search(spec, w, rec.levi, witness_cap)
+            found = witness_search(spec, w, rec.levi)
             if found is None:
                 report.witness_inconclusive += 1
             else:

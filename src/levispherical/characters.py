@@ -52,6 +52,7 @@ sum), then lexicographically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .rootsys import (
@@ -80,7 +81,15 @@ class NotLeviCharacter(ValueError):
 
 
 class CharacterBudgetExceeded(RuntimeError):
-    """A character grew past the configured term ceiling."""
+    """A character grew past the term ceiling, DEFAULT_TERM_CEILING."""
+
+
+# The one character budget.  Every character path and every command reads
+# these when it runs: no step of pi_i may touch more than DEFAULT_TERM_CEILING
+# weights, and a witness search tries at most DEFAULT_LAMBDA_BUDGET weights.
+DEFAULT_WITNESS_CAP = 2
+DEFAULT_LAMBDA_BUDGET = 10_000
+DEFAULT_TERM_CEILING = 5_000_000
 
 
 def weight_sort_key(wt: Weight) -> tuple[int, Weight]:
@@ -207,18 +216,15 @@ def is_levi_dominant(wt: Weight, levi) -> bool:
 
 
 def _apply_op(
-    spec: RootSystemSpec,
-    i0: int,
-    terms: Mapping[Weight, int],
-    max_terms: int | None = None,
+    spec: RootSystemSpec, i0: int, terms: Mapping[Weight, int]
 ) -> dict[Weight, int]:
     """pi_{i0+1} on a raw term dict, one alpha-string at a time.
 
     A string is keyed by its centre, the weight with coordinate i0 in {0, 1}.
     c*e^mu adds sign*c to g[K] of its string; the coefficient at position
     p >= 0 is the suffix sum of g over K >= p, and s_i mirrors it to -p.
-    More than max_terms touched weights, zeros included, raises before the
-    output is built.
+    More than DEFAULT_TERM_CEILING touched weights, zeros included, raises
+    before the output is built.
     """
     bonds = spec.weight_bonds[i0]
     strings: dict[Weight, dict[int, int]] = {}
@@ -242,12 +248,11 @@ def _apply_op(
             strings[centre] = {k: c}
         else:
             g[k] = g.get(k, 0) + c
-    if max_terms is not None:
-        touched = sum(max(g) + 1 for g in strings.values())
-        if touched > max_terms:
-            raise CharacterBudgetExceeded(
-                f"character exceeded the {max_terms}-term ceiling"
-            )
+    ceiling = DEFAULT_TERM_CEILING
+    if sum(max(g) + 1 for g in strings.values()) > ceiling:
+        raise CharacterBudgetExceeded(
+            f"character exceeded the {ceiling}-term ceiling"
+        )
     out: dict[Weight, int] = {}
     for centre, g in strings.items():
         r = centre[i0]
@@ -280,35 +285,26 @@ def demazure_op(spec: RootSystemSpec, f: WeightPoly, i: int) -> WeightPoly:
 
 
 def _char_along_word(
-    spec: RootSystemSpec,
-    lam: Weight,
-    word: tuple[int, ...],
-    max_terms: int | None = None,
+    spec: RootSystemSpec, lam: Weight, word: tuple[int, ...]
 ) -> dict[Weight, int]:
     """pi_{i1}(...(pi_{ik}(e^lam))...) for word = (i1, ..., ik)."""
     terms = {lam: 1}
     for i in reversed(word):
-        terms = _apply_op(spec, i - 1, terms, max_terms)
+        terms = _apply_op(spec, i - 1, terms)
     return terms
 
 
-def demazure_char(
-    spec: RootSystemSpec,
-    lam,
-    w: WeylElement,
-    *,
-    max_terms: int | None = None,
-) -> WeightPoly:
+def demazure_char(spec: RootSystemSpec, lam, w: WeylElement) -> WeightPoly:
     """Character of the Demazure module with extreme weight w(lam).
 
     lam must be dominant.  The coefficient of e^lam in the result is 1, the
     result is independent of the reduced word used for w, and it is
-    s_i-symmetric for every left descent i of w.
+    s_i-symmetric for every left descent i of w.  Like every character
+    path, it raises CharacterBudgetExceeded when one operator step touches
+    more than DEFAULT_TERM_CEILING weights.
     """
     lam = _check_dominant(spec, lam)
-    return WeightPoly._wrap(
-        _char_along_word(spec, lam, reduced_word(spec, w), max_terms)
-    )
+    return WeightPoly._wrap(_char_along_word(spec, lam, reduced_word(spec, w)))
 
 
 def levi_irreducible_char(spec: RootSystemSpec, mu, levi) -> WeightPoly:
@@ -396,19 +392,19 @@ def decompose_levi(
 
 
 def _d_straightener(
-    spec: RootSystemSpec, w: WeylElement, levi, max_terms: int
+    spec: RootSystemSpec, w: WeylElement, levi
 ) -> Callable[[Weight], tuple[DecompositionEntry, ...]]:
     """Classify (w, I) once; return lam -> L_I-multiplicities of its module.
 
     pi_w = pi_{w_0(I)} pi_d with d = w_0(I) w, so the returned function
-    straightens the character of d, bounded by max_terms, and never expands
-    the character of w.  It takes a checked dominant lam.  Raises
+    straightens the character of d, bounded by the term ceiling, and never
+    expands the character of w.  It takes a checked dominant lam.  Raises
     LeviNotInDescents unless I lies inside the left descents of w.
     """
     res = classify(spec, w, levi)
 
     def multiplicities(lam: Weight) -> tuple[DecompositionEntry, ...]:
-        terms = _char_along_word(spec, lam, res.d_word, max_terms)
+        terms = _char_along_word(spec, lam, res.d_word)
         return _straighten(spec, terms, res.levi)
 
     return multiplicities
@@ -424,7 +420,7 @@ def is_multiplicity_free(
     of d = w_0(I) w is expanded, bounded by DEFAULT_TERM_CEILING.
     """
     lam = _check_dominant(spec, lam)
-    for mu, m in _d_straightener(spec, w, levi, DEFAULT_TERM_CEILING)(lam):
+    for mu, m in _d_straightener(spec, w, levi)(lam):
         if m >= 2:
             return MultiplicityCheck(False, mu, m)
     return MultiplicityCheck(True, None, None)
@@ -446,42 +442,29 @@ def _dominant_weights_graded(rank: int, cap: int) -> Iterator[Weight]:
         yield from parts(total, rank)
 
 
-DEFAULT_WITNESS_CAP = 2
-DEFAULT_LAMBDA_BUDGET = 10_000
-DEFAULT_TERM_CEILING = 5_000_000
-
-
 def witness_search(
     spec: RootSystemSpec,
     w: WeylElement,
     levi,
     coeff_cap: int = DEFAULT_WITNESS_CAP,
-    *,
-    lambda_budget: int = DEFAULT_LAMBDA_BUDGET,
-    term_ceiling: int = DEFAULT_TERM_CEILING,
 ) -> Optional[Witness]:
     """Search for a dominant lam whose Demazure module has a multiplicity >= 2.
 
     Scans dominant weights with coordinates <= coeff_cap in graded-lex order
     and returns the first witness found.  Each lam expands only the character
-    of d = w_0(I) w; one past term_ceiling terms is skipped.  Exhausting the
-    budget returns None, which is inconclusive: it is NOT a certificate of multiplicity-freeness.
-    A negative coeff_cap, or a lambda_budget or term_ceiling below 1, would
-    try nothing and is rejected with ValueError.
+    of d = w_0(I) w.  The search reads the one lambda budget and the one term
+    ceiling of this module when it runs, the same pair that every character
+    path and command obeys: it tries at most DEFAULT_LAMBDA_BUDGET weights
+    and skips a lam whose character passes DEFAULT_TERM_CEILING.  Exhausting
+    the budget returns None, which is inconclusive: it is NOT a certificate
+    of multiplicity-freeness.  A negative coeff_cap would try nothing and is
+    rejected with ValueError.
     """
     if coeff_cap < 0:
         raise ValueError(f"witness coefficient cap {coeff_cap} is negative")
-    if lambda_budget < 1 or term_ceiling < 1:
-        raise ValueError(
-            f"witness lambda budget {lambda_budget} and term ceiling "
-            f"{term_ceiling} must both be at least 1"
-        )
-    multiplicities = _d_straightener(spec, w, levi, term_ceiling)
-    tried = 0
-    for lam in _dominant_weights_graded(spec.rank, coeff_cap):
-        if tried >= lambda_budget:
-            break
-        tried += 1
+    multiplicities = _d_straightener(spec, w, levi)
+    weights = _dominant_weights_graded(spec.rank, coeff_cap)
+    for lam in islice(weights, DEFAULT_LAMBDA_BUDGET):
         try:
             entries = multiplicities(lam)
         except CharacterBudgetExceeded:

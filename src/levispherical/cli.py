@@ -12,21 +12,25 @@ Words and node subsets are whitespace- or comma-separated 1-based indices
 fundamental-weight basis.
 
 Exit codes: 0 success, 1 domain error (bad type, letter out of range, levi
-set not inside the descent set, non-dominant weight, ...), 2 usage error,
-3 budget exhaustion (enumeration cap, character term ceiling, or a witness
-search that ends without a verdict).  When the levi set lies inside the left
-descents of w, decompose, mf-check and witness expand only the character
-of d = w0(I) w, so the term ceiling bounds that character.
+set not inside the descent set, non-dominant weight, an --out file that
+cannot be opened, ...) or stdout closed by its reader (census | head, with
+nothing on stderr), 2 usage error, 3 budget exhaustion (enumeration cap,
+character term ceiling, or a witness search that ends without a verdict).
+When the levi set lies inside the left descents of w, decompose, mf-check
+and witness expand only the character of d = w0(I) w, so the term ceiling
+bounds that character.
 
---cap on census and witness is the only budget override.  Every character
-command reads the lambda budget and the term ceiling from the characters
-module when it runs.
+There is one character budget: the term ceiling and the lambda budget of
+the characters module.  The library reads them when it runs, so every
+command obeys the same pair, the census cross-check's witness search
+included.  --cap on census and witness is the only budget override.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections import deque
@@ -163,7 +167,7 @@ def _cmd_demazure(args) -> int:
     spec = build_root_system(args.type)
     w = from_word(spec, _parse_indices(args.word))
     lam = _parse_weight(spec, args.weight)
-    char = demazure_char(spec, lam, w, max_terms=chars_mod.DEFAULT_TERM_CEILING)
+    char = demazure_char(spec, lam, w)
     if args.pretty:
         for entry in char.to_json_obj():
             print(f"{entry['weight']}  {entry['coeff']}")
@@ -179,13 +183,12 @@ def _cmd_decompose(args) -> int:
     lam = _parse_weight(spec, args.weight)
     levi = _parse_levi(spec, args.levi, w)
     chars_mod._check_dominant(spec, lam)
-    ceiling = chars_mod.DEFAULT_TERM_CEILING
     try:
-        multiplicities = chars_mod._d_straightener(spec, w, levi, ceiling)
+        multiplicities = chars_mod._d_straightener(spec, w, levi)
     except LeviNotInDescents:
         # The character of w can still be W_I-invariant, e.g. for a
         # non-regular lam, so it is expanded and checked whole.
-        char = demazure_char(spec, lam, w, max_terms=ceiling)
+        char = demazure_char(spec, lam, w)
         entries = decompose_levi(spec, char, levi)
     else:
         entries = multiplicities(lam)
@@ -218,12 +221,9 @@ def _cmd_witness(args) -> int:
     spec = build_root_system(args.type)
     w = from_word(spec, _parse_indices(args.word))
     levi = _parse_levi(spec, args.levi, w)
-    budget = chars_mod.DEFAULT_LAMBDA_BUDGET
-    found = witness_search(
-        spec, w, levi, args.cap, lambda_budget=budget,
-        term_ceiling=chars_mod.DEFAULT_TERM_CEILING,
-    )
+    found = witness_search(spec, w, levi, args.cap)
     if found is None:
+        budget = chars_mod.DEFAULT_LAMBDA_BUDGET
         _emit(
             {"found": False, "coeff_cap": args.cap, "lambda_budget": budget},
             args.pretty,
@@ -363,14 +363,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early.  As the SIGPIPE note of the signal
+        # module advises, point stdout at devnull so that the flush at exit
+        # cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CapExceeded, CharacterBudgetExceeded) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
     except census_mod.InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,6 +24,7 @@ from levispherical import (
     simple_reflection,
     witness_search,
 )
+from levispherical import characters
 from levispherical.characters import decomposition_to_json, weight_sort_key
 from conftest import random_element, spec_of
 from oracles import weyl_dimension
@@ -201,11 +202,12 @@ def test_demazure_char_grows_up_weak_order(rng):
             )
 
 
-def test_demazure_char_term_budget():
+def test_demazure_char_term_budget(monkeypatch):
     b3 = spec_of("B3")
     w = from_word(b3, [1, 2, 3, 1, 2, 1, 3, 2, 3])
+    monkeypatch.setattr(characters, "DEFAULT_TERM_CEILING", 10)
     with pytest.raises(CharacterBudgetExceeded):
-        demazure_char(b3, (2, 2, 2), w, max_terms=10)
+        demazure_char(b3, (2, 2, 2), w)
 
 
 def test_levi_irreducible_char_examples():
@@ -370,11 +372,12 @@ def test_witness_search_finds_nothing_when_spherical():
     assert witness_search(a2, identity(a2), (), coeff_cap=3) is None
 
 
-def test_witness_search_respects_lambda_budget():
+def test_witness_search_respects_lambda_budget(monkeypatch):
     d4 = spec_of("D4")
     w = from_word(d4, [3, 2, 3, 4, 2, 1, 2])
     # The zero weight is scanned first and never witnesses anything.
-    assert witness_search(d4, w, (2, 3), coeff_cap=2, lambda_budget=1) is None
+    monkeypatch.setattr(characters, "DEFAULT_LAMBDA_BUDGET", 1)
+    assert witness_search(d4, w, (2, 3), coeff_cap=2) is None
 
 
 def test_witness_search_rejects_bad_levi():

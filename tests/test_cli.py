@@ -257,3 +257,19 @@ def test_module_entry_point_smoke():
     doc = json.loads(proc.stdout)
     assert doc["spherical"] is False
     assert doc["len_d"] == 10
+
+
+def test_census_into_a_closed_pipe_exits_one_quietly():
+    # census | head -1: the reader closes the pipe while the census, about
+    # 1.6 MB of D5 records, is still writing.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "levispherical", "census", "--type", "D5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert json.loads(first)["type"] == "D5"
+    assert err == b""

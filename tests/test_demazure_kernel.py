@@ -17,6 +17,7 @@ from levispherical import (
     longest_parabolic,
     reduced_word,
 )
+from levispherical import characters
 from conftest import random_element, spec_of
 from oracles import demazure_oracle, demazure_step
 
@@ -49,7 +50,7 @@ def test_demazure_op_matches_oracle(type_str, rng):
 
 
 @pytest.mark.parametrize("type_str", ORACLE_TYPES)
-def test_demazure_char_matches_oracle_and_ceiling(type_str, rng):
+def test_demazure_char_matches_oracle_and_ceiling(type_str, rng, monkeypatch):
     spec = spec_of(type_str)
     cap = 1 if spec.rank >= 5 else 2
     checked = 0
@@ -62,9 +63,12 @@ def test_demazure_char_matches_oracle_and_ceiling(type_str, rng):
         want, most = demazure_oracle(spec.cartan_matrix, lam, word)
         assert demazure_char(spec, lam, w).as_dict() == want
         # The ceiling counts every weight one step touches, zeros included.
-        assert demazure_char(spec, lam, w, max_terms=most).as_dict() == want
-        with pytest.raises(CharacterBudgetExceeded):
-            demazure_char(spec, lam, w, max_terms=most - 1)
+        with monkeypatch.context() as m:
+            m.setattr(characters, "DEFAULT_TERM_CEILING", most)
+            assert demazure_char(spec, lam, w).as_dict() == want
+            m.setattr(characters, "DEFAULT_TERM_CEILING", most - 1)
+            with pytest.raises(CharacterBudgetExceeded):
+                demazure_char(spec, lam, w)
         checked += 1
 
 

@@ -7,13 +7,18 @@ from pathlib import Path
 import pytest
 
 from levispherical import (
+    CharacterBudgetExceeded,
     WordLetterError,
+    census_records,
     classify,
     cross_check,
     demazure_char,
     demazure_op,
     from_word,
+    is_multiplicity_free,
     levi_irreducible_char,
+    reduced_word,
+    start_census,
     witness_search,
 )
 import levispherical
@@ -131,15 +136,58 @@ def test_witness_command_respects_term_ceiling(capsys, monkeypatch):
     }
 
 
+def test_one_term_ceiling_and_lambda_budget_bound_every_character_path(monkeypatch):
+    # The D4 example: witness_search finds lambda = (1, 1, 0, 0) and the
+    # Demazure character of (1, 1, 1, 1) has 183 terms under the defaults.
+    d4 = spec_of("D4")
+    w = from_word(d4, [3, 2, 3, 4, 2, 1, 2])
+    lam = (1, 1, 1, 1)
+    char = demazure_char(d4, lam, w)
+    assert len(char) == 183
+    assert witness_search(d4, w, (2, 3)).lam == (1, 1, 0, 0)
+    (rec,) = [
+        r for r in census_records(d4, start_census(d4))
+        if r.w_word == reduced_word(d4, w) and r.levi == (2, 3)
+    ]
+    assert not rec.spherical
+    monkeypatch.setattr(characters, "DEFAULT_TERM_CEILING", 10)
+    with pytest.raises(CharacterBudgetExceeded):
+        demazure_char(d4, lam, w)
+    # Over I = {2, 3} the irreducible of lam has only 7 weights; over the
+    # whole node set it passes the ceiling.
+    with pytest.raises(CharacterBudgetExceeded):
+        levi_irreducible_char(d4, lam, (1, 2, 3, 4))
+    with pytest.raises(CharacterBudgetExceeded):
+        is_multiplicity_free(d4, lam, w, (2, 3))
+    # pi_2 on the 183-term character touches more than 10 weights.
+    with pytest.raises(CharacterBudgetExceeded):
+        demazure_op(d4, char, 2)
+    assert witness_search(d4, w, (2, 3)) is None
+    report = cross_check(d4, [rec], [lam], sample=1.0)
+    assert (report.witness_found, report.witness_inconclusive) == (0, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(characters, "DEFAULT_LAMBDA_BUDGET", 1)
+    assert witness_search(d4, w, (2, 3)) is None
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_census_unopenable_out_exits_one(capsys, tmp_path, where):
+    # FileNotFoundError and IsADirectoryError end as an error line, not a
+    # traceback.
+    if where == "directory":
+        target = tmp_path
+    else:
+        target = tmp_path / "missing" / "records.jsonl"
+    code, out, err = run_cli(capsys, "census", "--type", "A2", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and str(target) in err
+
+
 def test_witness_search_rejects_empty_budgets():
     d4 = spec_of("D4")
     w = from_word(d4, [3, 2, 3, 4, 2, 1, 2])
     with pytest.raises(ValueError, match="coefficient cap"):
         witness_search(d4, w, (2, 3), -1)
-    with pytest.raises(ValueError, match="at least 1"):
-        witness_search(d4, w, (2, 3), lambda_budget=0)
-    with pytest.raises(ValueError, match="at least 1"):
-        witness_search(d4, w, (2, 3), term_ceiling=0)
 
 
 def test_witness_negative_cap_exits_one(capsys):
