@@ -48,6 +48,10 @@ def _ints(letters: tuple[int, ...]) -> str:
     return ", ".join(map(str, letters))
 
 
+def _type_mismatch(spec: RootSystemSpec, record_type: str) -> ValueError:
+    return ValueError(f"record type {record_type!r} does not match {spec.cartan_type}")
+
+
 @dataclass(frozen=True)
 class CensusRecord:
     cartan_type: CartanType
@@ -70,9 +74,7 @@ class CensusRecord:
     def from_json_line(cls, spec: RootSystemSpec, line: str) -> "CensusRecord":
         obj = json.loads(line)
         if obj["type"] != str(spec.cartan_type):
-            raise ValueError(
-                f"record type {obj['type']!r} does not match {spec.cartan_type}"
-            )
+            raise _type_mismatch(spec, obj["type"])
         return cls(
             cartan_type=spec.cartan_type,
             w_word=tuple(obj["w"]),
@@ -269,8 +271,9 @@ def cross_check(
     Sampling is deterministic given the seed: one draw per record, in
     record order.  The default rate is 1.0 for groups of at most 500
     elements and 0.05 above that.  The battery and the rate are checked
-    (ValueError) before the first record is read, so records may be the
-    live census_records stream, which a failure stops at its record.
+    (ValueError) before the first record is read, and each record's Cartan
+    type before any work on it, so records may be the live census_records
+    stream, which a failure stops at its record.
     """
     battery = check_battery(spec, battery)
     if sample is None:
@@ -279,6 +282,8 @@ def cross_check(
     rng = random.Random(seed)
     report = CrossCheckReport(battery_size=len(battery), sample_rate=sample)
     for rec in records:
+        if rec.cartan_type != spec.cartan_type:
+            raise _type_mismatch(spec, str(rec.cartan_type))
         report.records_seen += 1
         if rng.random() >= sample:
             continue

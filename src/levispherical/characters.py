@@ -39,7 +39,8 @@ is +-chi_I(u.mu), the character of the irreducible L_I-module of highest
 weight u.mu = u(mu + rho) - rho for the u in W_I making it L_I-dominant, with
 sign (-1)^length(u); it is 0 when mu + rho is I-singular (Demazure character
 formula for w_0(I); Brauer-Klimyk straightening, Humphreys, Introduction to
-Lie Algebras, section 24).  A W_I-invariant f equals pi_{w_0(I)} f, so
+Lie Algebras, section 24); the chamber walk of weyl over I finds u and the
+parity of its length.  A W_I-invariant f equals pi_{w_0(I)} f, so
 straightening every term of f gives its L_I-multiplicities.  For I inside
 the left descents of w, pi_w = pi_{w_0(I)} pi_d with d = w_0(I) w
 (length-additive; Bjorner-Brenti, Combinatorics of Coxeter Groups,
@@ -60,10 +61,9 @@ from .rootsys import (
     is_int,
     node_index,
     validate_node_subset,
-    weight_reflection,
 )
 from .sphericality import classify
-from .weyl import WeylElement, longest_parabolic, reduced_word
+from .weyl import WeylElement, _walk, apply_word, longest_parabolic, reduced_word
 
 Weight = tuple[int, ...]
 
@@ -204,7 +204,8 @@ def _check_dominant(spec: RootSystemSpec, lam) -> Weight:
 
 def reflect_weight(spec: RootSystemSpec, wt, i: int) -> Weight:
     """s_i(wt) = wt - wt_i * alpha_i, in fundamental-weight coordinates."""
-    return weight_reflection(spec, _check_weight(spec, wt), node_index(spec, i))
+    wt = _check_weight(spec, wt)
+    return apply_word(spec, (node_index(spec, i) + 1,), wt)
 
 
 def is_dominant(wt: Weight) -> bool:
@@ -334,15 +335,15 @@ def _straighten(
 ) -> tuple[DecompositionEntry, ...]:
     """pi_{w_0(I)} of a term dict as L_I-multiplicities, by the W_I dot action.
 
-    Each c*e^mu moves mu + rho into the closed L_I-dominant chamber by simple
-    reflections, each flipping the sign of c; an I-singular end point
-    contributes nothing.  Entries come in descending (height, grade, mu).
+    Each c*e^mu walks mu + rho into the closed L_I-dominant chamber, one
+    sign flip of c per reflection; an I-singular end point contributes
+    nothing.  Entries come in descending (height, grade, mu).
     """
+    active = [j + 1 in subset for j in range(spec.rank)]
     mults: dict[Weight, int] = {}
     for mu, c in terms.items():
-        v = tuple(x + 1 for x in mu)
-        while (j := next((i - 1 for i in subset if v[i - 1] < 0), None)) is not None:
-            v = weight_reflection(spec, v, j)
+        v = [x + 1 for x in mu]
+        if len(_walk(spec, v, active)) & 1:
             c = -c
         if all(v[i - 1] for i in subset):
             nu = tuple(x - 1 for x in v)
@@ -381,7 +382,7 @@ def decompose_levi(
         moved = [
             wt
             for wt, c in terms.items()
-            if terms.get(weight_reflection(spec, wt, i - 1), 0) != c
+            if terms.get(apply_word(spec, (i,), wt), 0) != c
         ]
         if moved:
             wt = min(moved, key=weight_sort_key)

@@ -247,20 +247,6 @@ def node_index(spec: RootSystemSpec, i) -> int:
     return i - 1
 
 
-def weight_reflection(
-    spec: RootSystemSpec, wt: tuple[int, ...], j: int
-) -> tuple[int, ...]:
-    """s_j(wt) = wt - wt_j * alpha_j in weight coordinates, j 0-based and unchecked."""
-    k = wt[j]
-    if not k:
-        return wt
-    out = list(wt)
-    out[j] = -k
-    for i, a in spec.weight_bonds[j]:
-        out[i] -= k * a
-    return tuple(out)
-
-
 def validate_node_subset(spec: RootSystemSpec, nodes) -> tuple[int, ...]:
     """Sorted, deduplicated node tuple; rejects indices outside 1..rank."""
     nodes = list(nodes)

@@ -88,9 +88,9 @@ def _split(
 
     subset must be a validated I inside the left descent set of w.  Raises
     LengthAdditivityError unless length(w) = length(w_0(I)) + length(d).
-    The word of the memoised w_0(I) is stripped once per subset; only d's is
-    new here.  weyl._word is looked up at each call, so that a test counting
-    strips sees every one.
+    The memoised w_0(I) carries its word from the chamber walk that built it,
+    so only d's word is stripped here.  weyl._word is looked up at each call,
+    so that a test counting strips sees every one.
     """
     w0i_word = _longest_parabolic(spec, subset).word
     # w_0(I) is an involution, so d = w_0(I)^{-1} w = w_0(I) w.

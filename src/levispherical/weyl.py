@@ -10,10 +10,12 @@ of Bjorner-Brenti, "Combinatorics of Coxeter Groups", ch. 4):
 * (s_i w)(rho) is the weight reflection s_i applied to w(rho),
 * so length(s_i w) = length(w) + 1  iff  coordinate i is positive.
 
-The canonical reduced word of w strips the smallest negative coordinate,
-i.e. the smallest left descent, until rho is reached.  A word acts on a
-weight letter by letter from its right end, which gives evaluation of
-words, products and inverses; no matrix is ever multiplied.
+One chamber walk reflects a weight in place by the smallest node of a set
+whose coordinate is negative, until none is.  Over every node it strips the
+canonical reduced word of w from w(rho), smallest left descent first; over
+I it spells w_0(I) from -rho and straightens mu + rho for the characters
+module.  A word acts on a weight letter by letter from its right end, which
+gives evaluation of words, products and inverses; no matrix is multiplied.
 
 Group enumeration is breadth-first over left multiplication, which visits
 elements layer by layer in length order; each layer is emitted in
@@ -33,7 +35,6 @@ from .rootsys import (
     RootSystemSpec,
     is_int,
     validate_node_subset,
-    weight_reflection,
 )
 
 DEFAULT_ENUM_CAP = 2_000_000
@@ -91,21 +92,21 @@ def apply_word(spec: RootSystemSpec, word: Iterable[int], wt: Weight) -> Weight:
     return tuple(out)
 
 
-def _word(spec: RootSystemSpec, wt: Weight) -> tuple[int, ...]:
-    """Canonical reduced word of the w with w(rho) = wt.
+def _walk(spec: RootSystemSpec, out: list[int], active) -> list[int]:
+    """Walk out in place into the closed chamber of the active nodes.
 
-    Strips the smallest negative coordinate, reflecting in place.  s_j
-    leaves the coordinates below j nonnegative except its neighbours, so the
-    scan resumes at the lowest coordinate s_j changed, not at 0.
+    active[j] says whether node j + 1 takes part.  Each step reflects by the
+    smallest active node with a negative coordinate; the letters come in the
+    order applied.  s_j lowers only its bond neighbours, so the scan resumes
+    at the lowest coordinate s_j changed, not at 0.
     """
     bonds = spec.weight_bonds
-    out = list(wt)
     n = len(out)
     letters = []
     j = 0
     while j < n:
         c = out[j]
-        if c >= 0:
+        if c >= 0 or not active[j]:
             j += 1
             continue
         letters.append(j + 1)
@@ -116,7 +117,12 @@ def _word(spec: RootSystemSpec, wt: Weight) -> tuple[int, ...]:
             if b < nxt:
                 nxt = b
         j = nxt
-    return tuple(letters)
+    return letters
+
+
+def _word(spec: RootSystemSpec, wt: Weight) -> tuple[int, ...]:
+    """Canonical reduced word of the w with w(rho) = wt: the walk over all nodes."""
+    return tuple(_walk(spec, list(wt), (True,) * len(wt)))
 
 
 def _rho(spec: RootSystemSpec) -> Weight:
@@ -130,7 +136,7 @@ def identity(spec: RootSystemSpec) -> WeylElement:
 def simple_reflection(spec: RootSystemSpec, i: int) -> WeylElement:
     if not (is_int(i) and 1 <= i <= spec.rank):
         raise WordLetterError(f"generator index {i} out of range 1..{spec.rank}")
-    return WeylElement(spec, weight_reflection(spec, _rho(spec), i - 1))
+    return WeylElement(spec, apply_word(spec, (i,), _rho(spec)))
 
 
 def from_word(spec: RootSystemSpec, word: Iterable[int]) -> WeylElement:
@@ -187,19 +193,19 @@ def left_descents(spec: RootSystemSpec, w: WeylElement) -> frozenset[int]:
 @lru_cache(maxsize=None)
 def _longest_parabolic(spec: RootSystemSpec, subset: tuple[int, ...]) -> WeylElement:
     # Keyed by (spec, validated subset): at most 2**rank entries per type.
-    wt = _rho(spec)
-    while (j := next((i - 1 for i in subset if wt[i - 1] > 0), None)) is not None:
-        wt = weight_reflection(spec, wt, j)
-    return WeylElement(spec, wt)
+    out = [-1] * spec.rank
+    word = tuple(_walk(spec, out, [j + 1 in subset for j in range(spec.rank)]))
+    return WeylElement(spec, tuple(-x for x in out), word)
 
 
 def longest_parabolic(spec: RootSystemSpec, nodes) -> WeylElement:
     """The longest element w_0(I) of the standard parabolic subgroup W_I.
 
-    Greedy ascent from rho: while some i in I is not a left descent,
-    left-multiply by s_i (smallest such i first).  Each step raises the
-    length by one, so the walk stops at the unique element of W_I with all
-    of I as descents.
+    w_0(I) takes -rho into the I-dominant chamber, so the walk of -rho over I
+    ends at -w_0(I)(rho).  The I-coordinates of -rho and of w_0(I)(rho) are
+    all -1, the walk reads only those, and the strip of w_0(I)(rho) never
+    meets a negative coordinate outside I; so the walk's letters are the
+    canonical word of w_0(I), which the element carries and never strips.
     """
     return _longest_parabolic(spec, validate_node_subset(spec, nodes))
 

@@ -7,9 +7,10 @@ formulas, the census oracle is Macdonald's product for the Poincare
 polynomial and the acyclic orientations of the Dynkin forest for the
 Coxeter elements, the root-coordinate oracles reflect roots letter by
 letter with the Cartan matrix, the type-A oracle models the Weyl group as
-the symmetric group on 1..n+1 acting by adjacent transpositions, and the
-Demazure oracle applies the three-case monomial rule term by term to the
-Cartan matrix.
+the symmetric group on 1..n+1 acting by adjacent transpositions, the
+w_0(I) oracle ascends from rho by weight reflections read off the Cartan
+matrix, and the Demazure oracle applies the three-case monomial rule term
+by term to the Cartan matrix.
 """
 
 from __future__ import annotations
@@ -95,6 +96,21 @@ def left_inversions(spec, w) -> frozenset:
         if any(c < 0 for c in v):
             out.append(alpha)
     return frozenset(out)
+
+
+def longest_parabolic_ascent(cartan, subset):
+    """w_0(I)(rho) in weight coordinates, by greedy ascent from rho.
+
+    s_j(v) = v - v_j * C[j], with C[j] (row j of the Cartan matrix) the
+    simple root alpha_j in weight coordinates.  While some j in I has
+    v_j > 0, s_j raises the length by one; W_I is finite, so the ascent
+    stops at the one element of W_I with every j in I as a left descent.
+    """
+    v = (1,) * len(cartan)
+    while up := [j for j in subset if v[j - 1] > 0]:
+        k, row = v[up[0] - 1], cartan[up[0] - 1]
+        v = tuple(x - k * a for x, a in zip(v, row))
+    return v
 
 
 def _poly_mul(a, b):

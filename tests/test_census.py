@@ -7,11 +7,13 @@ from levispherical import (
     CapExceeded,
     CensusRecord,
     InconsistencyError,
+    census_records,
     classify,
     cross_check,
     from_word,
     left_descents,
     run_census,
+    start_census,
 )
 from levispherical import MultiplicityCheck, census
 from levispherical.cli import main
@@ -290,6 +292,20 @@ def test_cross_check_battery_validation():
     for lam in [(True, 0), (0.5, 1)]:
         with pytest.raises(ValueError, match="not dominant"):
             cross_check(spec, [], [(1, 1), lam])
+
+
+def test_cross_check_refuses_records_of_another_type(monkeypatch):
+    # B4 and C4 records have the same shape, so only the type tells them
+    # apart; the check must come before any B4 character is expanded.
+    def no_character_work(*args):
+        raise AssertionError("character work on a record of another type")
+
+    monkeypatch.setattr(census, "is_multiplicity_free", no_character_work)
+    monkeypatch.setattr(census, "witness_search", no_character_work)
+    b4, c4 = spec_of("B4"), spec_of("C4")
+    records = census_records(c4, start_census(c4))
+    with pytest.raises(ValueError, match="record type 'C4' does not match B4"):
+        cross_check(b4, records, [(1, 1, 1, 1)], sample=0.05)
 
 
 def test_cross_check_sampling_is_seeded():

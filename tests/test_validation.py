@@ -250,6 +250,34 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_imports_only_what_it_uses():
+    # __init__.py imports to re-export; "# noqa: F401" marks a name kept on
+    # purpose for code outside the package.
+    sources = sorted(Path(levispherical.__file__).parent.glob("*.py"))
+    assert sources
+    unused = []
+    for path in sources:
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__" or any(
+                "# noqa: F401" in line
+                for line in lines[node.lineno - 1 : node.end_lineno]
+            ):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
 @pytest.mark.parametrize(
     "bad",
     [(0, 1), (0, 0, 0, 0), (0, 0.5, 0), (0, 0, True)],

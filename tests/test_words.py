@@ -1,12 +1,14 @@
 """Canonical words carried through enumeration, and the census record text."""
 
+import itertools
 import json
 
 import pytest
 
-from levispherical import enumerate_group, run_census, weyl
+from levispherical import enumerate_group, longest_parabolic, run_census, weyl
 from levispherical.census import CensusRecord
 from conftest import spec_of
+from oracles import longest_parabolic_ascent
 
 
 @pytest.mark.parametrize("type_str", ["A4", "B4", "D4", "F4", "G2", "E6"])
@@ -31,9 +33,25 @@ def test_census_strips_only_d_and_each_w0_once(monkeypatch):
     weyl._longest_parabolic.cache_clear()
     summary = run_census(spec)
     assert summary.pair_count == 5089
-    # One strip per record (its d) plus one per longest parabolic w0(I);
-    # the lower bound fails if the census strips d without weyl._word.
-    assert summary.pair_count <= calls <= summary.pair_count + 2**spec.rank
+    # One strip per record, its d: each w0(I) carries the word of the walk
+    # that built it.  Fewer calls would mean d was stripped without _word.
+    assert calls == summary.pair_count
+
+
+@pytest.mark.parametrize(
+    "type_str", ["A4", "B4", "C4", "D5", "E6", "E7", "E8", "F4", "G2"]
+)
+def test_longest_parabolic_carries_its_canonical_word(type_str):
+    spec = spec_of(type_str)
+    n = spec.rank
+    weyl._longest_parabolic.cache_clear()
+    for k in range(n + 1):
+        for subset in itertools.combinations(range(1, n + 1), k):
+            w0 = longest_parabolic(spec, subset)
+            assert w0.known_word == weyl._word(spec, w0.rho_image)
+            assert w0.rho_image == longest_parabolic_ascent(
+                spec.cartan_matrix, subset
+            )
 
 
 @pytest.mark.parametrize("type_str", ["B3", "G2"])
