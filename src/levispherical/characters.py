@@ -53,7 +53,8 @@ sum), then lexicographically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from operator import add, mul, sub
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .rootsys import (
@@ -188,11 +189,30 @@ class Witness(NamedTuple):
 
 def _check_weight(spec: RootSystemSpec, wt) -> Weight:
     wt = tuple(wt)
-    if len(wt) != spec.rank or not all(is_int(x) for x in wt):
+    if len(wt) != spec.rank or not (
+        all(type(x) is int for x in wt) or all(is_int(x) for x in wt)
+    ):
         raise ValueError(
             f"weight {wt!r} is not an integer vector of rank {spec.rank}"
         )
     return wt
+
+
+def _check_weights(spec: RootSystemSpec, weights) -> None:
+    """_check_weight on every weight of a collection.
+
+    One pass over plain-int tuples of the right length; on any miss the
+    per-weight loop runs, so the error names the first bad weight.
+    """
+    try:
+        if set(map(len, weights)) <= {spec.rank} and set(
+            map(type, chain.from_iterable(weights))
+        ) <= {int}:
+            return
+    except TypeError:
+        pass
+    for wt in weights:
+        _check_weight(spec, wt)
 
 
 def _check_dominant(spec: RootSystemSpec, lam) -> Weight:
@@ -250,7 +270,7 @@ def _apply_op(
         else:
             g[k] = g.get(k, 0) + c
     ceiling = DEFAULT_TERM_CEILING
-    if sum(max(g) + 1 for g in strings.values()) > ceiling:
+    if sum(map(max, strings.values())) + len(strings) > ceiling:
         raise CharacterBudgetExceeded(
             f"character exceeded the {ceiling}-term ceiling"
         )
@@ -280,8 +300,7 @@ def _apply_op(
 def demazure_op(spec: RootSystemSpec, f: WeightPoly, i: int) -> WeightPoly:
     """Apply pi_i to a weight polynomial."""
     j = node_index(spec, i)
-    for wt in f.weights():
-        _check_weight(spec, wt)
+    _check_weights(spec, f.weights())
     return WeightPoly._wrap(_apply_op(spec, j, f._terms))
 
 
@@ -330,34 +349,74 @@ def levi_irreducible_char(spec: RootSystemSpec, mu, levi) -> WeightPoly:
     return WeightPoly._wrap(terms)
 
 
+def _entry_key(spec: RootSystemSpec) -> Callable[[Weight], tuple]:
+    """Order of decomposition entries: height of mu, then grade, then mu."""
+    u = spec.height_functional
+    return lambda mu: (sum(map(mul, u, mu)), sum(mu), mu)
+
+
 def _straighten(
     spec: RootSystemSpec, terms: Mapping[Weight, int], subset: tuple[int, ...]
-) -> tuple[DecompositionEntry, ...]:
+) -> dict[Weight, int]:
     """pi_{w_0(I)} of a term dict as L_I-multiplicities, by the W_I dot action.
 
     Each c*e^mu walks mu + rho into the closed L_I-dominant chamber, one
     sign flip of c per reflection; an I-singular end point contributes
-    nothing.  Entries come in descending (height, grade, mu).
+    nothing.  Returns the nonzero multiplicities as {mu: mult}, unsorted:
+    each caller orders or scans only what it uses.  A negative multiplicity
+    raises NotLeviCharacter naming the negative mu of largest _entry_key,
+    the first one in decompose_levi's order, whatever the order of terms.
     """
     active = [j + 1 in subset for j in range(spec.rank)]
+    ones = (1,) * spec.rank
     mults: dict[Weight, int] = {}
     for mu, c in terms.items():
-        v = [x + 1 for x in mu]
+        v = list(map(add, mu, ones))
         if len(_walk(spec, v, active)) & 1:
             c = -c
         if all(v[i - 1] for i in subset):
-            nu = tuple(x - 1 for x in v)
+            nu = tuple(map(sub, v, ones))
             mults[nu] = mults.get(nu, 0) + c
-    u = spec.height_functional
-    entries = sorted(
-        (DecompositionEntry(nu, m) for nu, m in mults.items() if m),
-        key=lambda e: (sum(a * b for a, b in zip(u, e.mu)), sum(e.mu), e.mu),
-        reverse=True,
+    if min(mults.values(), default=0) < 0:
+        nu = max((nu for nu, m in mults.items() if m < 0), key=_entry_key(spec))
+        raise NotLeviCharacter(
+            f"weight {nu} has negative multiplicity {mults[nu]}"
+        )
+    return {nu: m for nu, m in mults.items() if m}
+
+
+def _first_repeat(spec: RootSystemSpec, mults: dict[Weight, int]) -> Optional[Weight]:
+    """The first mu of multiplicity >= 2 in decompose_levi's order, or None."""
+    return max(
+        (nu for nu, m in mults.items() if m >= 2), key=_entry_key(spec), default=None
     )
-    for nu, m in entries:
-        if m < 0:
-            raise NotLeviCharacter(f"weight {nu} has negative multiplicity {m}")
-    return tuple(entries)
+
+
+def _is_reflection_invariant(
+    spec: RootSystemSpec, terms: Mapping[Weight, int], j: int
+) -> bool:
+    """Is the term dict fixed by the simple reflection of node j + 1?
+
+    s_{j+1} swaps the weights with coordinate j positive and those with it
+    negative, and fixes the rest.  Stored coefficients are never 0, so the
+    dict is invariant iff every term of the positive side meets its
+    reflection with the same coefficient and both sides are equally many.
+    """
+    bonds = spec.weight_bonds[j]
+    balance = 0
+    for wt, c in terms.items():
+        k = wt[j]
+        if k > 0:
+            v = list(wt)
+            v[j] = -k
+            for b, a in bonds:
+                v[b] -= k * a
+            if terms.get(tuple(v)) != c:
+                return False
+            balance += 1
+        elif k:
+            balance -= 1
+    return not balance
 
 
 def decompose_levi(
@@ -365,46 +424,53 @@ def decompose_levi(
 ) -> tuple[DecompositionEntry, ...]:
     """Write f as a sum of irreducible L_I-characters with multiplicities.
 
-    f must be s_i-invariant for every i in I; each of its terms is then
-    straightened under the W_I dot action (see the module docstring).  The
-    entries reconstruct f exactly, f = sum of mult * levi_irreducible_char(mu),
-    and come in descending order of the height of mu, then of its coordinate
-    sum, then lexicographically.  A non-invariant f, or one with a negative
-    multiplicity, is not an L_I-character and raises NotLeviCharacter; the
-    message names the smallest i in I that moves f and the smallest moved
-    weight in weight_sort_key order, whatever the order of f's terms.
+    f must be s_i-invariant for every i in I.  Every weight is validated in
+    one pass, and invariance under each s_i is checked by pairing: only the
+    terms with mu_i > 0 are reflected, and they must be as many as the terms
+    with mu_i < 0.  Each term is then straightened under the W_I dot action
+    (see the module docstring), and only the resulting entries are sorted.
+    The entries reconstruct f exactly, f = sum of mult *
+    levi_irreducible_char(mu), and come in descending order of the height of
+    mu, then of its coordinate sum, then lexicographically.  A non-invariant
+    f, or one with a negative multiplicity, is not an L_I-character and
+    raises NotLeviCharacter; the message names the smallest i in I that
+    moves f and the smallest moved weight in weight_sort_key order, or the
+    first negative entry in the order above, whatever the order of f's terms.
     """
     subset = validate_node_subset(spec, levi)
     terms = f._terms
-    for wt in terms:
-        _check_weight(spec, wt)
+    _check_weights(spec, terms)
     for i in subset:
+        if _is_reflection_invariant(spec, terms, i - 1):
+            continue
         moved = [
             wt
             for wt, c in terms.items()
             if terms.get(apply_word(spec, (i,), wt), 0) != c
         ]
-        if moved:
-            wt = min(moved, key=weight_sort_key)
-            raise NotLeviCharacter(
-                f"the input is not s_{i}-invariant: coefficient {terms[wt]} at {wt}"
-            )
-    return _straighten(spec, terms, subset)
+        wt = min(moved, key=weight_sort_key)
+        raise NotLeviCharacter(
+            f"the input is not s_{i}-invariant: coefficient {terms[wt]} at {wt}"
+        )
+    mults = _straighten(spec, terms, subset)
+    order = sorted(mults, key=_entry_key(spec), reverse=True)
+    return tuple(DecompositionEntry(nu, mults[nu]) for nu in order)
 
 
 def _d_straightener(
     spec: RootSystemSpec, w: WeylElement, levi
-) -> Callable[[Weight], tuple[DecompositionEntry, ...]]:
+) -> Callable[[Weight], dict[Weight, int]]:
     """Classify (w, I) once; return lam -> L_I-multiplicities of its module.
 
     pi_w = pi_{w_0(I)} pi_d with d = w_0(I) w, so the returned function
     straightens the character of d, bounded by the term ceiling, and never
-    expands the character of w.  It takes a checked dominant lam.  Raises
-    LeviNotInDescents unless I lies inside the left descents of w.
+    expands the character of w.  It takes a checked dominant lam and returns
+    the unsorted {mu: mult} of _straighten.  Raises LeviNotInDescents unless
+    I lies inside the left descents of w.
     """
     res = classify(spec, w, levi)
 
-    def multiplicities(lam: Weight) -> tuple[DecompositionEntry, ...]:
+    def multiplicities(lam: Weight) -> dict[Weight, int]:
         terms = _char_along_word(spec, lam, res.d_word)
         return _straighten(spec, terms, res.levi)
 
@@ -418,13 +484,16 @@ def is_multiplicity_free(
 
     Requires lam dominant and I inside the left descent set of w (so that
     the Demazure character is a genuine L_I-character).  Only the character
-    of d = w_0(I) w is expanded, bounded by DEFAULT_TERM_CEILING.
+    of d = w_0(I) w is expanded, bounded by DEFAULT_TERM_CEILING.  The
+    witness is the first repeated entry of the sorted decomposition, found
+    without sorting it.
     """
     lam = _check_dominant(spec, lam)
-    for mu, m in _d_straightener(spec, w, levi)(lam):
-        if m >= 2:
-            return MultiplicityCheck(False, mu, m)
-    return MultiplicityCheck(True, None, None)
+    mults = _d_straightener(spec, w, levi)(lam)
+    mu = _first_repeat(spec, mults)
+    if mu is None:
+        return MultiplicityCheck(True, None, None)
+    return MultiplicityCheck(False, mu, mults[mu])
 
 
 def _dominant_weights_graded(rank: int, cap: int) -> Iterator[Weight]:
@@ -458,21 +527,24 @@ def witness_search(
     path and command obeys: it tries at most DEFAULT_LAMBDA_BUDGET weights
     and skips a lam whose character passes DEFAULT_TERM_CEILING.  Exhausting
     the budget returns None, which is inconclusive: it is NOT a certificate
-    of multiplicity-freeness.  A negative coeff_cap would try nothing and is
-    rejected with ValueError.
+    of multiplicity-freeness.  A coeff_cap that is not an int (bool
+    included) is rejected with ValueError, and so is a negative one, which
+    would try nothing.
     """
+    if not is_int(coeff_cap):
+        raise ValueError(f"witness coefficient cap {coeff_cap!r} is not an integer")
     if coeff_cap < 0:
         raise ValueError(f"witness coefficient cap {coeff_cap} is negative")
     multiplicities = _d_straightener(spec, w, levi)
     weights = _dominant_weights_graded(spec.rank, coeff_cap)
     for lam in islice(weights, DEFAULT_LAMBDA_BUDGET):
         try:
-            entries = multiplicities(lam)
+            mults = multiplicities(lam)
         except CharacterBudgetExceeded:
             continue
-        for mu, m in entries:
-            if m >= 2:
-                return Witness(lam, mu, m)
+        mu = _first_repeat(spec, mults)
+        if mu is not None:
+            return Witness(lam, mu, mults[mu])
     return None
 
 

@@ -191,7 +191,7 @@ def _cmd_decompose(args) -> int:
         char = demazure_char(spec, lam, w)
         entries = decompose_levi(spec, char, levi)
     else:
-        entries = multiplicities(lam)
+        entries = multiplicities(lam).items()
     _emit(decomposition_to_json(entries), args.pretty)
     return 0
 

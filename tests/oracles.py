@@ -9,8 +9,9 @@ Coxeter elements, the root-coordinate oracles reflect roots letter by
 letter with the Cartan matrix, the type-A oracle models the Weyl group as
 the symmetric group on 1..n+1 acting by adjacent transpositions, the
 w_0(I) oracle ascends from rho by weight reflections read off the Cartan
-matrix, and the Demazure oracle applies the three-case monomial rule term
-by term to the Cartan matrix.
+matrix, the Demazure oracle applies the three-case monomial rule term
+by term to the Cartan matrix, and the invariance oracle reflects every
+term of a polynomial by the same weight reflections.
 """
 
 from __future__ import annotations
@@ -108,8 +109,7 @@ def longest_parabolic_ascent(cartan, subset):
     """
     v = (1,) * len(cartan)
     while up := [j for j in subset if v[j - 1] > 0]:
-        k, row = v[up[0] - 1], cartan[up[0] - 1]
-        v = tuple(x - k * a for x, a in zip(v, row))
+        v = weight_reflect(cartan, v, up[0])
     return v
 
 
@@ -276,6 +276,51 @@ def demazure_oracle(cartan, lam, word):
         terms, touched = demazure_step(cartan, i, terms)
         most = max(most, touched)
     return terms, most
+
+
+def weight_reflect(cartan, v, i):
+    """s_i(v) = v - v_i * C[i] in weight coordinates, i 1-based."""
+    k, row = v[i - 1], cartan[i - 1]
+    return tuple(x - k * a for x, a in zip(v, row))
+
+
+def levi_symmetrise(cartan, terms, subset):
+    """Sum over the terms of c times the W_I-orbit sum of their weight.
+
+    Each orbit is closed under s_i for i in I by search, so the result is
+    W_I-invariant by construction.  Zero coefficients are dropped.
+    """
+    out: dict = {}
+    for wt, c in terms.items():
+        orbit, todo = {wt}, [wt]
+        while todo:
+            v = todo.pop()
+            for i in subset:
+                u = weight_reflect(cartan, v, i)
+                if u not in orbit:
+                    orbit.add(u)
+                    todo.append(u)
+        for u in orbit:
+            out[u] = out.get(u, 0) + c
+    return {u: c for u, c in out.items() if c}
+
+
+def first_moved_term(cartan, terms, subset):
+    """The smallest i in I with s_i(f) != f and its smallest moved weight.
+
+    Every term is reflected and compared with the coefficient found at its
+    image; the moved weight is the least in (coordinate sum, weight) order.
+    None when every s_i with i in I fixes f.
+    """
+    for i in sorted(subset):
+        moved = [
+            wt
+            for wt, c in terms.items()
+            if terms.get(weight_reflect(cartan, wt, i), 0) != c
+        ]
+        if moved:
+            return i, min(moved, key=lambda wt: (sum(wt), wt))
+    return None
 
 
 # Type A as the symmetric group.  A permutation is a tuple p with p[x-1]

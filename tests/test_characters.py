@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from levispherical import (
@@ -27,7 +29,7 @@ from levispherical import (
 from levispherical import characters
 from levispherical.characters import decomposition_to_json, weight_sort_key
 from conftest import random_element, spec_of
-from oracles import weyl_dimension
+from oracles import first_moved_term, levi_symmetrise, weyl_dimension
 
 
 def random_poly(spec, rng, terms=5):
@@ -326,6 +328,84 @@ def test_not_levi_character_message_ignores_term_order():
     assert messages == {
         "the input is not s_2-invariant: coefficient 1 at (-1, 3, -3)"
     }
+
+
+def test_negative_multiplicity_message_ignores_term_order():
+    # -2 chi_I(1, 0) - 3 e^0 over I = {1} of A2: two negative entries, and
+    # the message names the first one in decomposition order.
+    a2 = spec_of("A2")
+    items = [((1, 0), -2), ((-1, 1), -2), ((0, 0), -3)]
+    messages = set()
+    for order in itertools.permutations(items):
+        with pytest.raises(NotLeviCharacter) as exc:
+            decompose_levi(a2, WeightPoly(dict(order)), (1,))
+        messages.add(str(exc.value))
+    assert messages == {"weight (1, 0) has negative multiplicity -2"}
+
+
+def _perturb(f, kind, subset, rank, rng):
+    """f with one term dropped, one coefficient changed, or a lone term added.
+
+    The lone term has every coordinate in I <= 0 and one < 0, so no s_i
+    with i in I takes it to the positive side: only comparing the sizes of
+    the two sides can see it.
+    """
+    f = dict(f)
+    if kind == "drop" and f:
+        del f[rng.choice(sorted(f))]
+    elif kind == "change" and f:
+        wt = rng.choice(sorted(f))
+        f[wt] += rng.choice([c for c in (-2, -1, 1, 2) if f[wt] + c])
+    elif kind == "lone":
+        while True:
+            wt = [rng.randint(-3, 3) for _ in range(rank)]
+            for i in subset:
+                wt[i - 1] = -abs(wt[i - 1])
+            wt[rng.choice(subset) - 1] = -rng.randint(1, 3)
+            if tuple(wt) not in f:
+                break
+        f[tuple(wt)] = rng.choice([-2, -1, 1, 2])
+    return f
+
+
+@pytest.mark.parametrize("type_str", ["A3", "B3", "G2"])
+def test_invariance_check_matches_reflection_oracle(type_str, rng):
+    # W_I-symmetrised random polynomials, as they are or perturbed: the
+    # input is refused as non-invariant exactly when reflecting every term
+    # by the Cartan matrix finds a moved one, and the message agrees.
+    spec = spec_of(type_str)
+    n, cartan = spec.rank, spec.cartan_matrix
+    outcomes = {"accepted": 0, "moved": 0, "negative": 0}
+    for trial in range(120):
+        subset = tuple(i for i in range(1, n + 1) if rng.random() < 0.6)
+        subset = subset or (rng.randint(1, n),)
+        seed = {
+            tuple(rng.randint(-3, 3) for _ in range(n)): rng.choice([1, 2, -1])
+            for _ in range(rng.randint(1, 3))
+        }
+        f = levi_symmetrise(cartan, seed, subset)
+        assert first_moved_term(cartan, f, subset) is None
+        kind = ("none", "drop", "change", "lone")[trial % 4]
+        f = _perturb(f, kind, subset, n, rng)
+        expected = first_moved_term(cartan, f, subset)
+        if kind == "lone":
+            assert expected is not None
+        try:
+            decompose_levi(spec, WeightPoly(f), subset)
+        except NotLeviCharacter as exc:
+            message = str(exc)
+        else:
+            message = None
+        if expected is None:
+            assert message is None or "negative multiplicity" in message
+            outcomes["accepted" if message is None else "negative"] += 1
+        else:
+            i, wt = expected
+            assert message == (
+                f"the input is not s_{i}-invariant: coefficient {f[wt]} at {wt}"
+            )
+            outcomes["moved"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_is_multiplicity_free_trivial_and_golden():

@@ -1,6 +1,7 @@
 """Input validation, budget bounds and internal invariants."""
 
 import ast
+import enum
 import json
 from pathlib import Path
 
@@ -186,8 +187,9 @@ def test_census_unopenable_out_exits_one(capsys, tmp_path, where):
 def test_witness_search_rejects_empty_budgets():
     d4 = spec_of("D4")
     w = from_word(d4, [3, 2, 3, 4, 2, 1, 2])
-    with pytest.raises(ValueError, match="coefficient cap"):
-        witness_search(d4, w, (2, 3), -1)
+    for cap in (-1, True, 1.5, "1"):
+        with pytest.raises(ValueError, match="coefficient cap"):
+            witness_search(d4, w, (2, 3), cap)
 
 
 def test_witness_negative_cap_exits_one(capsys):
@@ -292,3 +294,27 @@ def test_character_operations_reject_malformed_weights(bad):
         demazure_op(b3, poly, 1)
     with pytest.raises(ValueError, match="integer vector"):
         characters.decompose_levi(b3, characters.WeightPoly({bad: 1}), [1])
+    # A bad key after many good ones is still found, and named.
+    good = {(k, -k, 0): 1 for k in range(1000)}
+    poly = characters.WeightPoly({**good, bad: 1})
+    for op in (
+        lambda: demazure_op(b3, poly, 1),
+        lambda: characters.decompose_levi(b3, poly, ()),
+    ):
+        with pytest.raises(ValueError, match="integer vector") as exc:
+            op()
+        assert repr(bad) in str(exc.value)
+
+
+def test_character_operations_accept_int_enum_coordinates():
+    # An int subclass other than bool is an integer coordinate.
+    class Coord(enum.IntEnum):
+        ZERO = 0
+        ONE = 1
+
+    a2 = spec_of("A2")
+    top = characters.WeightPoly({(Coord.ONE, Coord.ZERO): 1})
+    char = characters.WeightPoly({(Coord.ONE, Coord.ZERO): 1, (-1, Coord.ONE): 1})
+    assert demazure_op(a2, top, 1) == char
+    assert characters.decompose_levi(a2, char, (1,)) == (((1, 0), 1),)
+    assert characters.decompose_levi(a2, top, ()) == (((1, 0), 1),)
