@@ -188,8 +188,11 @@ class Witness(NamedTuple):
 
 
 def _check_weight(spec: RootSystemSpec, wt) -> Weight:
-    wt = tuple(wt)
-    if len(wt) != spec.rank or not (
+    try:
+        wt = tuple(wt)
+    except TypeError:  # not iterable: reported below like any other miss
+        pass
+    if type(wt) is not tuple or len(wt) != spec.rank or not (
         all(type(x) is int for x in wt) or all(is_int(x) for x in wt)
     ):
         raise ValueError(

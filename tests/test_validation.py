@@ -318,3 +318,20 @@ def test_character_operations_accept_int_enum_coordinates():
     assert demazure_op(a2, top, 1) == char
     assert characters.decompose_levi(a2, char, (1,)) == (((1, 0), 1),)
     assert characters.decompose_levi(a2, top, ()) == (((1, 0), 1),)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a2: demazure_char(a2, 5, from_word(a2, [1, 2])),
+        lambda a2: characters.decompose_levi(a2, characters.WeightPoly({5: 1}), ()),
+        lambda a2: characters.reflect_weight(a2, 5, 1),
+        lambda a2: levi_irreducible_char(a2, 5, [1]),
+    ],
+    ids=["demazure_char", "decompose_levi", "reflect_weight", "levi_irreducible_char"],
+)
+def test_non_iterable_weight_is_a_value_error(call):
+    # A bare int is not a weight: the usual ValueError, not a TypeError
+    # from iterating it.
+    with pytest.raises(ValueError, match="weight 5 is not an integer vector of rank 2"):
+        call(spec_of("A2"))

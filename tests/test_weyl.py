@@ -1,6 +1,8 @@
 import enum
 import itertools
 import re
+import time
+import tracemalloc
 
 import pytest
 
@@ -278,3 +280,33 @@ def test_enumeration_cap():
     assert len(list(enumerate_group(spec, cap=6))) == 6
     with pytest.raises(CapExceeded):
         list(enumerate_group(spec, cap=5))
+
+
+def test_over_cap_group_is_refused_before_any_element():
+    # E7 has 2,903,040 elements, over the default cap: refused from its
+    # order, not after enumerating the first 2,000,000.
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="over the cap"):
+        next(enumerate_group(spec_of("E7")))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_enumeration_holds_layers_compactly():
+    # Each layer keeps its words as bytes; tuple words would peak at 5.7 MiB.
+    spec = spec_of("E6")
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_group(spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 51_840
+    assert peak < 3 * 2**20
+
+
+@pytest.mark.parametrize("type_str", ["A3", "B3", "G2", "D4", "F4"])
+def test_enumeration_yields_tuples_of_ints(type_str):
+    for w in enumerate_group(spec_of(type_str)):
+        for part in (w.rho_image, w.known_word):
+            assert type(part) is tuple
+            assert set(map(type, part)) <= {int}
