@@ -71,13 +71,36 @@ class CensusRecord:
 
     @classmethod
     def from_json_line(cls, spec: RootSystemSpec, line: str) -> "CensusRecord":
+        """Parse one record line of spec's type.
+
+        ValueError names the first malformed field: "w", "levi" and "d" must
+        be lists of ints (bools are not ints), "len" must equal len(w) and
+        "spherical" must be a bool.
+        """
         obj = json.loads(line)
-        if obj["type"] != str(spec.cartan_type):
-            raise _type_mismatch(spec, obj["type"])
+        if type(obj) is not dict:
+            raise ValueError(f"census line is not a JSON object: {line!r}")
+        if obj.get("type") != str(spec.cartan_type):
+            raise _type_mismatch(spec, obj.get("type"))
+        for name in ("w", "levi", "d"):
+            value = obj.get(name)
+            if type(value) is not list or not all(map(is_int, value)):
+                raise ValueError(
+                    f"record field {name!r} is not a list of ints: {value!r}"
+                )
+        length = obj.get("len")
+        if not is_int(length) or length != len(obj["w"]):
+            raise ValueError(
+                f"record field 'len' is {length!r}, not len(w) = {len(obj['w'])}"
+            )
+        if type(obj.get("spherical")) is not bool:
+            raise ValueError(
+                f"record field 'spherical' is not a bool: {obj.get('spherical')!r}"
+            )
         return cls(
             cartan_type=spec.cartan_type,
             w_word=tuple(obj["w"]),
-            length=obj["len"],
+            length=length,
             levi=tuple(obj["levi"]),
             d_word=tuple(obj["d"]),
             spherical=obj["spherical"],

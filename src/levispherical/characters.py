@@ -45,16 +45,25 @@ straightening every term of f gives its L_I-multiplicities.  For I inside
 the left descents of w, pi_w = pi_{w_0(I)} pi_d with d = w_0(I) w
 (length-additive; Bjorner-Brenti, Combinatorics of Coxeter Groups,
 Prop. 2.4.4), so the multiplicities of the Demazure character of w come from
-straightening the much smaller character of d.  Decompositions list their
-highest weights in descending order of height, then of grade (coordinate
-sum), then lexicographically.
+straightening the much smaller character of d.  pi_x e^lambda = e^lambda for
+every x in the stabiliser W_lambda, so the character of d at a dominant
+lambda depends only on the orbit point d(lambda): its steps run along the
+shortest word, the one the chamber walk spells from d(lambda) back to lambda
+(the minimal representative of d W_lambda), and it is expanded once per
+orbit point and term ceiling, in a memo keyed by both and bounded by the
+number of terms it holds.  Straightening adds an L_I-dominant term as it
+stands and drops one with an I-coordinate equal to -1 (mu + rho on a wall);
+only the rest are walked.  Decompositions list their highest weights in
+descending order of height, then of grade (coordinate sum), then
+lexicographically.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .rootsys import (
@@ -64,7 +73,14 @@ from .rootsys import (
     validate_node_subset,
 )
 from .sphericality import classify
-from .weyl import WeylElement, _walk, apply_word, longest_parabolic, reduced_word
+from .weyl import (
+    WeylElement,
+    _walk,
+    _word,
+    apply_word,
+    longest_parabolic,
+    reduced_word,
+)
 
 Weight = tuple[int, ...]
 
@@ -363,23 +379,37 @@ def _straighten(
 ) -> dict[Weight, int]:
     """pi_{w_0(I)} of a term dict as L_I-multiplicities, by the W_I dot action.
 
-    Each c*e^mu walks mu + rho into the closed L_I-dominant chamber, one
-    sign flip of c per reflection; an I-singular end point contributes
-    nothing.  Returns the nonzero multiplicities as {mu: mult}, unsorted:
-    each caller orders or scans only what it uses.  A negative multiplicity
-    raises NotLeviCharacter naming the negative mu of largest _entry_key,
-    the first one in decompose_levi's order, whatever the order of terms.
+    A term c*e^mu whose I-coordinates are all >= 0 is L_I-dominant and adds
+    c at mu as it stands.  One with an I-coordinate equal to -1 puts mu + rho
+    on a wall of the chamber, so it straightens to 0 and is dropped.  Every
+    other term walks mu + rho into the closed L_I-dominant chamber, one sign
+    flip of c per reflection; an I-singular end point contributes nothing.
+    Returns the nonzero multiplicities as {mu: mult}, unsorted: each caller
+    orders or scans only what it uses.  A negative multiplicity raises
+    NotLeviCharacter naming the negative mu of largest _entry_key, the first
+    one in decompose_levi's order, whatever the order of terms.
     """
-    active = [j + 1 in subset for j in range(spec.rank)]
-    ones = (1,) * spec.rank
-    mults: dict[Weight, int] = {}
-    for mu, c in terms.items():
-        v = list(map(add, mu, ones))
-        if len(_walk(spec, v, active)) & 1:
-            c = -c
-        if all(v[i - 1] for i in subset):
-            nu = tuple(map(sub, v, ones))
-            mults[nu] = mults.get(nu, 0) + c
+    if not subset:
+        mults = dict(terms)
+    else:
+        # Repeating the first node makes the getter return a tuple for |I| = 1.
+        coords = itemgetter(*(i - 1 for i in subset), subset[0] - 1)
+        active = [j + 1 in subset for j in range(spec.rank)]
+        ones = (1,) * spec.rank
+        mults = {}
+        for mu, c in terms.items():
+            on_i = coords(mu)
+            if min(on_i) >= 0:
+                mults[mu] = mults.get(mu, 0) + c
+                continue
+            if -1 in on_i:
+                continue
+            v = list(map(add, mu, ones))
+            if len(_walk(spec, v, active)) & 1:
+                c = -c
+            if all(v[i - 1] for i in subset):
+                nu = tuple(map(sub, v, ones))
+                mults[nu] = mults.get(nu, 0) + c
     if min(mults.values(), default=0) < 0:
         nu = max((nu for nu, m in mults.items() if m < 0), key=_entry_key(spec))
         raise NotLeviCharacter(
@@ -460,21 +490,64 @@ def decompose_levi(
     return tuple(DecompositionEntry(nu, mults[nu]) for nu in order)
 
 
+class _TermMemo:
+    """An insertion-ordered memo that holds at most `bound` terms in all.
+
+    A value is a term dict, which no caller mutates.  Storing past the bound
+    drops the oldest entries first; a dict longer than the bound is not
+    stored.
+    """
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        self.held = 0
+        self.entries: OrderedDict[tuple, dict[Weight, int]] = OrderedDict()
+
+    def put(self, key: tuple, terms: dict[Weight, int]) -> None:
+        size = len(terms)
+        if size > self.bound:
+            return
+        while self.held + size > self.bound:
+            self.held -= len(self.entries.popitem(last=False)[1])
+        self.entries[key] = terms
+        self.held += size
+
+
+# Characters of d at dominant weights, keyed by (spec, lam, d(lam), ceiling).
+# The character of d at lam depends only on the orbit point d(lam), and the
+# ceiling is part of the key so that a character expanded under one ceiling
+# is never handed out under a lower one.  _D_CHAR_TERMS bounds the memory:
+# a cross-check of every E6 full-descent record holds about 160,000 terms,
+# and 200,000 rank-6 terms take about 26 MB.
+_D_CHAR_TERMS = 200_000
+_D_CHARS = _TermMemo(_D_CHAR_TERMS)
+
+
 def _d_straightener(
     spec: RootSystemSpec, w: WeylElement, levi
 ) -> Callable[[Weight], dict[Weight, int]]:
     """Classify (w, I) once; return lam -> L_I-multiplicities of its module.
 
     pi_w = pi_{w_0(I)} pi_d with d = w_0(I) w, so the returned function
-    straightens the character of d, bounded by the term ceiling, and never
-    expands the character of w.  It takes a checked dominant lam and returns
-    the unsorted {mu: mult} of _straighten.  Raises LeviNotInDescents unless
-    I lies inside the left descents of w.
+    straightens the character of d and never expands the character of w.
+    pi_x e^lam = e^lam for every x in the stabiliser W_lam, so the character
+    of d at lam is that of the minimal representative u of d W_lam: the word
+    that walks the orbit point d(lam) back to lam.  Its steps run along that
+    shortest word, each bounded by the term ceiling, and the character is
+    kept in a bounded module memo keyed by (spec, lam, d(lam), ceiling), so
+    each orbit point is expanded once per ceiling.  The function takes a
+    checked dominant lam and returns the unsorted {mu: mult} of _straighten.
+    Raises LeviNotInDescents unless I lies inside the left descents of w.
     """
     res = classify(spec, w, levi)
 
     def multiplicities(lam: Weight) -> dict[Weight, int]:
-        terms = _char_along_word(spec, lam, res.d_word)
+        point = apply_word(spec, res.d_word, lam)
+        key = (spec, lam, point, DEFAULT_TERM_CEILING)
+        terms = _D_CHARS.entries.get(key)
+        if terms is None:
+            terms = _char_along_word(spec, lam, _word(spec, point))
+            _D_CHARS.put(key, terms)
         return _straighten(spec, terms, res.levi)
 
     return multiplicities
@@ -487,9 +560,11 @@ def is_multiplicity_free(
 
     Requires lam dominant and I inside the left descent set of w (so that
     the Demazure character is a genuine L_I-character).  Only the character
-    of d = w_0(I) w is expanded, bounded by DEFAULT_TERM_CEILING.  The
-    witness is the first repeated entry of the sorted decomposition, found
-    without sorting it.
+    of d = w_0(I) w is expanded, with steps along the shortest word that
+    carries lam to d(lam), each bounded by DEFAULT_TERM_CEILING; it is
+    memoised by orbit point and ceiling, so a repeated d(lam) is not
+    expanded again.  The witness is the first repeated entry of the sorted
+    decomposition, found without sorting it.
     """
     lam = _check_dominant(spec, lam)
     mults = _d_straightener(spec, w, levi)(lam)
@@ -525,14 +600,16 @@ def witness_search(
 
     Scans dominant weights with coordinates <= coeff_cap in graded-lex order
     and returns the first witness found.  Each lam expands only the character
-    of d = w_0(I) w.  The search reads the one lambda budget and the one term
-    ceiling of this module when it runs, the same pair that every character
-    path and command obeys: it tries at most DEFAULT_LAMBDA_BUDGET weights
-    and skips a lam whose character passes DEFAULT_TERM_CEILING.  Exhausting
-    the budget returns None, which is inconclusive: it is NOT a certificate
-    of multiplicity-freeness.  A coeff_cap that is not an int (bool
-    included) is rejected with ValueError, and so is a negative one, which
-    would try nothing.
+    of d = w_0(I) w, with steps along the shortest word that carries lam to
+    d(lam), and only for an orbit point d(lam) that the memo keyed by orbit
+    point and ceiling does not hold yet.  The search reads the one lambda
+    budget and the one term ceiling of this module when it runs, the same
+    pair that every character path and command obeys: it tries at most
+    DEFAULT_LAMBDA_BUDGET weights and skips a lam whose character passes
+    DEFAULT_TERM_CEILING.  Exhausting the budget returns None, which is
+    inconclusive: it is NOT a certificate of multiplicity-freeness.  A
+    coeff_cap that is not an int (bool included) is rejected with
+    ValueError, and so is a negative one, which would try nothing.
     """
     if not is_int(coeff_cap):
         raise ValueError(f"witness coefficient cap {coeff_cap!r} is not an integer")

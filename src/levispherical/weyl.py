@@ -12,10 +12,12 @@ of Bjorner-Brenti, "Combinatorics of Coxeter Groups", ch. 4):
 
 One chamber walk reflects a weight in place by the smallest node of a set
 whose coordinate is negative, until none is.  Over every node it strips the
-canonical reduced word of w from w(rho), smallest left descent first; over
-I it spells w_0(I) from -rho and straightens mu + rho for the characters
-module.  A word acts on a weight letter by letter from its right end, which
-gives evaluation of words, products and inverses; no matrix is multiplied.
+canonical reduced word of w from w(rho), smallest left descent first, and
+spells the shortest word carrying a dominant lambda to a point of its
+orbit; over I it spells w_0(I) from -rho and straightens mu + rho for the
+characters module.  A word acts on a weight letter by letter from its right
+end, which gives evaluation of words, products and inverses; no matrix is
+multiplied.
 
 Group enumeration is breadth-first over left multiplication, which visits
 elements layer by layer in length order; each layer is emitted in

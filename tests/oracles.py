@@ -284,6 +284,29 @@ def weight_reflect(cartan, v, i):
     return tuple(x - k * a for x, a in zip(v, row))
 
 
+def dot_straighten(cartan, terms, subset):
+    """L_I-multiplicities of pi_{w_0(I)} of the terms, by the W_I dot action.
+
+    Every term walks mu + rho into the closed L_I-dominant chamber by the
+    largest node of I with a negative coordinate, flipping the sign of its
+    coefficient at each reflection; an end point with a zero coordinate on
+    I contributes nothing.  Returns every multiplicity, zero and negative
+    ones included.
+    """
+    out: dict = {}
+    for mu, c in terms.items():
+        v = tuple(x + 1 for x in mu)
+        while True:
+            neg = [i for i in subset if v[i - 1] < 0]
+            if not neg:
+                break
+            v, c = weight_reflect(cartan, v, max(neg)), -c
+        if all(v[i - 1] for i in subset):
+            nu = tuple(x - 1 for x in v)
+            out[nu] = out.get(nu, 0) + c
+    return out
+
+
 def levi_symmetrise(cartan, terms, subset):
     """Sum over the terms of c times the W_I-orbit sum of their weight.
 

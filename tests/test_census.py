@@ -241,6 +241,48 @@ def test_record_json_roundtrip():
         CensusRecord.from_json_line(spec, line)
 
 
+GOOD_RECORD = {"type": "A2", "w": [1, 2], "len": 2, "levi": [1], "d": [2],
+               "spherical": True}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("w", "12"),
+        ("w", [1, True]),
+        ("w", [1, 2.0]),
+        ("levi", None),
+        ("levi", {"1": 1}),
+        ("d", [[2]]),
+        ("len", 3),
+        ("len", "2"),
+        ("len", None),
+        ("spherical", 1),
+        ("spherical", "true"),
+        ("spherical", None),
+    ],
+)
+def test_record_parse_rejects_malformed_fields(field, value):
+    spec = spec_of("A2")
+    assert CensusRecord.from_json_line(spec, json.dumps(GOOD_RECORD)).w_word == (1, 2)
+    obj = dict(GOOD_RECORD)
+    if value is None:
+        del obj[field]
+    else:
+        obj[field] = value
+    with pytest.raises(ValueError, match=f"field '{field}'"):
+        CensusRecord.from_json_line(spec, json.dumps(obj))
+
+
+def test_record_parse_rejects_bool_length_and_non_objects():
+    spec = spec_of("A2")
+    line = json.dumps(dict(GOOD_RECORD, w=[1], len=True))
+    with pytest.raises(ValueError, match="field 'len'"):
+        CensusRecord.from_json_line(spec, line)
+    with pytest.raises(ValueError, match="not a JSON object"):
+        CensusRecord.from_json_line(spec, "[1, 2]")
+
+
 def test_cross_check_a2_full_battery():
     spec = spec_of("A2")
     records = []

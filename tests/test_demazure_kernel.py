@@ -11,13 +11,15 @@ import pytest
 from levispherical import (
     CharacterBudgetExceeded,
     WeightPoly,
+    classify,
     demazure_char,
     demazure_op,
     from_word,
+    left_descents,
     longest_parabolic,
     reduced_word,
 )
-from levispherical import characters
+from levispherical import characters, weyl
 from conftest import random_element, spec_of
 from oracles import demazure_oracle, demazure_step
 
@@ -106,3 +108,25 @@ def test_demazure_char_is_pinned(type_str, lam, word, terms, mass, digest):
     ch = demazure_char(spec, lam, w)
     assert (len(ch), ch.mass()) == (terms, mass)
     assert hashlib.sha256(repr(ch.sorted_items()).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("type_str", ["A3", "B3", "D4", "F4", "G2"])
+def test_character_of_d_along_the_orbit_walk(type_str, rng):
+    # pi_x e^lam = e^lam for x in the stabiliser of lam, so the word that
+    # walks d(lam) back to lam gives the character of d, in no more steps.
+    spec = spec_of(type_str)
+    shortened = 0
+    for _ in range(30):
+        w = random_element(spec, rng, max_len=len(spec.positive_roots))
+        levi = [i for i in sorted(left_descents(spec, w)) if rng.random() < 0.5]
+        d_word = classify(spec, w, levi).d_word
+        lam = [rng.randint(0, 2) for _ in range(spec.rank)]
+        lam[rng.randrange(spec.rank)] = 0
+        lam = tuple(lam)
+        walk = weyl._word(spec, weyl.apply_word(spec, d_word, lam))
+        want, _ = demazure_oracle(spec.cartan_matrix, lam, d_word)
+        assert characters._char_along_word(spec, lam, d_word) == want
+        assert characters._char_along_word(spec, lam, walk) == want
+        assert len(walk) <= len(d_word)
+        shortened += len(walk) < len(d_word)
+    assert shortened

@@ -7,12 +7,16 @@ straightening replaced; they pin the entry order, not just the entry set.
 import hashlib
 import json
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from levispherical import (
+    CharacterBudgetExceeded,
+    NotLeviCharacter,
     characters,
+    cross_check,
     decompose_levi,
     demazure_char,
     enumerate_group,
@@ -20,9 +24,13 @@ from levispherical import (
     is_multiplicity_free,
     left_descents,
     longest_parabolic,
+    reduced_word,
+    run_census,
+    witness_search,
 )
 from levispherical.cli import main
-from conftest import spec_of
+from conftest import random_element, spec_of
+from oracles import demazure_oracle, dot_straighten
 
 
 @pytest.mark.parametrize(
@@ -118,3 +126,144 @@ def test_decompose_command_outside_the_descents(capsys):
     assert main(["decompose", "--type", "A2", "--word", "1", "--weight", "1 1",
                  "--levi", "2"]) == 1
     assert "not s_2-invariant" in capsys.readouterr().err
+
+
+def term_kind(mu, subset):
+    on_i = [mu[i - 1] for i in subset]
+    if min(on_i, default=0) >= 0:
+        return "dominant"
+    return "wall" if -1 in on_i else "walked"
+
+
+def nonzero(mults):
+    return {nu: m for nu, m in mults.items() if m}
+
+
+def straightening_subsets(spec, rng):
+    nodes = range(1, spec.rank + 1)
+    yield ()
+    yield tuple(nodes)
+    for i in nodes:
+        yield (i,)
+    for _ in range(3):
+        yield tuple(i for i in nodes if rng.random() < 0.5)
+
+
+@pytest.mark.parametrize("type_str", ["A3", "B3", "D4", "G2", "F4"])
+def test_straighten_matches_the_dot_action_oracle(type_str, rng):
+    # Characters of random v straightened over any I: pi_{w_0(I)} pi_v is a
+    # Demazure operator, so every multiplicity is >= 0.  Random signed terms
+    # also go through; a negative multiplicity must raise.
+    spec = spec_of(type_str)
+    cartan = spec.cartan_matrix
+    kinds = Counter()
+    for subset in straightening_subsets(spec, rng):
+        for _ in range(4):
+            v = random_element(spec, rng, max_len=len(spec.positive_roots))
+            lam = tuple(rng.randint(0, 2) for _ in range(spec.rank))
+            terms, _ = demazure_oracle(cartan, lam, reduced_word(spec, v))
+            kinds.update(term_kind(mu, subset) for mu in terms)
+            want = nonzero(dot_straighten(cartan, terms, subset))
+            assert min(want.values(), default=0) >= 0
+            assert characters._straighten(spec, terms, subset) == want
+        for _ in range(10):
+            terms = {
+                tuple(rng.randint(-4, 3) for _ in range(spec.rank)):
+                    rng.choice([-2, -1, 1, 3])
+                for _ in range(rng.randint(1, 12))
+            }
+            want = nonzero(dot_straighten(cartan, terms, subset))
+            if min(want.values(), default=0) < 0:
+                with pytest.raises(NotLeviCharacter, match="negative multiplicity"):
+                    characters._straighten(spec, terms, subset)
+            else:
+                assert characters._straighten(spec, terms, subset) == want
+    assert kinds["dominant"] and kinds["wall"] and kinds["walked"]
+
+
+def fresh_memo(monkeypatch, bound=characters._D_CHAR_TERMS):
+    memo = characters._TermMemo(bound)
+    monkeypatch.setattr(characters, "_D_CHARS", memo)
+    return memo
+
+
+def memo_reading_results(spec):
+    """Every public result that reads characters of d, for a census of spec."""
+    records = []
+    run_census(spec, records_out=records)
+    battery = [(1,) * spec.rank, (2,) + (0,) * (spec.rank - 1)]
+    witnesses = [
+        witness_search(spec, from_word(spec, rec.w_word), rec.levi)
+        for rec in records
+        if not rec.spherical
+    ]
+    checks = [
+        is_multiplicity_free(spec, lam, from_word(spec, rec.w_word), rec.levi)
+        for rec in records
+        for lam in battery
+    ]
+    report = cross_check(spec, records, battery, sample=1.0)
+    return witnesses, checks, report.to_json_dict()
+
+
+@pytest.mark.parametrize("type_str", ["B3", "G2"])
+def test_orbit_memo_is_transparent(type_str, monkeypatch):
+    spec = spec_of(type_str)
+    unmemoised = fresh_memo(monkeypatch, bound=0)
+    reference = memo_reading_results(spec)
+    assert unmemoised.held == 0 and not unmemoised.entries
+    memo = fresh_memo(monkeypatch)
+    cold = memo_reading_results(spec)
+    assert memo.held > 0
+    entries = dict(memo.entries)
+    warm = memo_reading_results(spec)
+    assert memo.entries == entries
+    assert cold == warm == reference
+
+
+def test_orbit_memo_keeps_the_term_ceiling(monkeypatch):
+    d4 = spec_of("D4")
+    w0 = longest_parabolic(d4, range(1, 5))
+    rho = (1, 1, 1, 1)
+    memo = fresh_memo(monkeypatch)
+    warm = is_multiplicity_free(d4, rho, w0, ())
+    found = witness_search(d4, w0, (2,), coeff_cap=1)
+    assert memo.entries
+    monkeypatch.setattr(characters, "DEFAULT_TERM_CEILING", 10)
+    with pytest.raises(CharacterBudgetExceeded):
+        is_multiplicity_free(d4, rho, w0, ())
+    low = witness_search(d4, w0, (2,), coeff_cap=1)
+    fresh_memo(monkeypatch)
+    assert witness_search(d4, w0, (2,), coeff_cap=1) == low
+    monkeypatch.setattr(characters, "DEFAULT_TERM_CEILING", 5_000_000)
+    assert is_multiplicity_free(d4, rho, w0, ()) == warm
+    assert witness_search(d4, w0, (2,), coeff_cap=1) == found
+
+
+class CheckedMemo(characters._TermMemo):
+    """A memo that checks its bound and its count after every store."""
+
+    def __init__(self, bound):
+        super().__init__(bound)
+        self.puts = 0
+        self.stored = []
+
+    def put(self, key, terms):
+        super().put(key, terms)
+        self.puts += 1
+        if key in self.entries:
+            self.stored.append(key)
+        assert self.held == sum(map(len, self.entries.values())) <= self.bound
+
+
+def test_orbit_memo_is_bounded(monkeypatch):
+    spec = spec_of("B3")
+    memo = CheckedMemo(60)
+    monkeypatch.setattr(characters, "_D_CHARS", memo)
+    assert memo_reading_results(spec) == memo_reading_results(spec)
+    # Oldest out first: what is held is the newest run of stores.
+    held = list(memo.entries)
+    assert held and len(held) < len(memo.stored) <= memo.puts
+    assert memo.stored[-len(held):] == held
+    memo.put("too large", {(i, 0, 0): 1 for i in range(61)})
+    assert "too large" not in memo.entries and list(memo.entries) == held
