@@ -283,6 +283,81 @@ def test_record_parse_rejects_bool_length_and_non_objects():
         CensusRecord.from_json_line(spec, "[1, 2]")
 
 
+E6_RECORD = {"type": "E6", "w": [2, 4, 3, 1], "len": 4, "levi": [2],
+             "d": [4, 3, 1], "spherical": True}
+
+
+@pytest.mark.parametrize("field", ["w", "levi", "d"])
+@pytest.mark.parametrize("letter", [0, 7, -1])
+def test_record_parse_rejects_letters_outside_the_nodes(field, letter):
+    spec = spec_of("E6")
+    assert CensusRecord.from_json_line(spec, json.dumps(E6_RECORD)).d_word == (4, 3, 1)
+    obj = dict(E6_RECORD)
+    obj[field] = obj[field][:-1] + [letter]
+    with pytest.raises(ValueError, match=f"field '{field}' holds a letter outside"):
+        CensusRecord.from_json_line(spec, json.dumps(obj))
+
+
+def json_fields(rec):
+    return {
+        "type": str(rec.cartan_type),
+        "w": list(rec.w_word),
+        "len": rec.length,
+        "levi": list(rec.levi),
+        "d": list(rec.d_word),
+        "spherical": rec.spherical,
+    }
+
+
+A12_RECORDS = [
+    # s_10 s_11 s_12 s_1: a Coxeter element with two-digit letters.
+    ((10, 11, 12, 1), (10,), (11, 12, 1), True),
+    ((12, 11, 10, 12), (11, 12), (10, 12), False),
+    ((), (), (), True),
+    ((12,), (12,), (), True),
+]
+
+
+@pytest.mark.parametrize("w, levi, d, spherical", A12_RECORDS)
+def test_record_line_is_json_dumps_for_two_digit_nodes(w, levi, d, spherical):
+    spec = spec_of("A12")
+    rec = CensusRecord(spec.cartan_type, w, len(w), levi, d, spherical)
+    line = rec.to_json_line()
+    assert line == json.dumps(json_fields(rec))
+    assert CensusRecord.from_json_line(spec, line) == rec
+
+
+@pytest.mark.parametrize("field", ["w_word", "levi", "d_word"])
+@pytest.mark.parametrize("letter", [0, -1, 13, 100])
+def test_record_line_rejects_letters_outside_the_nodes(field, letter):
+    spec = spec_of("A12")
+    good = CensusRecord(spec.cartan_type, (10, 11, 12), 3, (10,), (11, 12), True)
+    bad = good._replace(**{field: getattr(good, field) + (letter,)})
+    name = {"w_word": "w", "levi": "levi", "d_word": "d"}[field]
+    # A list indexed by the letter would print node 12's text for -1.
+    with pytest.raises(ValueError, match=f"field '{name}' holds a letter outside"):
+        bad.to_json_line()
+
+
+def test_record_is_an_immutable_hashable_named_tuple():
+    spec = spec_of("A3")
+    rec = CensusRecord(spec.cartan_type, (1, 2), 2, (1,), (2,), True)
+    keys = list(json.loads(rec.to_json_line()))
+    assert keys == ["type", "w", "len", "levi", "d", "spherical"]
+    assert len(CensusRecord._fields) == len(keys)
+    assert dict(zip(CensusRecord._fields, keys)) == {
+        "cartan_type": "type", "w_word": "w", "length": "len", "levi": "levi",
+        "d_word": "d", "spherical": "spherical",
+    }
+    for name in CensusRecord._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+    twin = CensusRecord.from_json_line(spec, rec.to_json_line())
+    assert twin == rec and twin is not rec
+    assert hash(twin) == hash(rec)
+    assert len({rec, twin}) == 1
+
+
 def test_cross_check_a2_full_battery():
     spec = spec_of("A2")
     records = []
