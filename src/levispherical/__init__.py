@@ -47,6 +47,7 @@ from .characters import (
     NotLeviCharacter,
     WeightPoly,
     Witness,
+    decompose_demazure,
     decompose_levi,
     demazure_char,
     demazure_op,

@@ -36,7 +36,7 @@ from .sphericality import _split
 from .sphericality import classify  # noqa: F401
 from .weyl import (
     DEFAULT_ENUM_CAP,
-    CapExceeded,
+    capped_group_order,
     classical_group_order,
     enumerate_group,
     from_word,
@@ -176,12 +176,7 @@ def start_census(
     """
     if levi_mode not in LEVI_MODES:
         raise ValueError(f"levi_mode must be one of {LEVI_MODES}")
-    order = classical_group_order(spec)
-    if order > cap:
-        raise CapExceeded(
-            f"group of type {spec.cartan_type} has order {order}, "
-            f"over the cap {cap}; raise the cap to run this census"
-        )
+    order = capped_group_order(spec, cap, "run this census")
     return CensusSummary(spec.cartan_type, levi_mode, order)
 
 
@@ -248,11 +243,7 @@ def run_census(
 
     start_census, then census_records to the end.  An E6 full-descent
     census (51,840 records) runs in about 1.48 s at a peak RSS of 44 MB on a
-    2-vCPU VM (perfbench census-e6 median, reference seconds; 1.68 s while
-    records were frozen dataclasses and each line printed the str of its
-    int lists); the enumeration under it holds its layers' words as bytes
-    and builds only canonical children, each record is a named tuple, and
-    its line joins the texts of its nodes from a per-rank table.
+    2-vCPU VM (perfbench census-e6 median, reference seconds).
 
     records_out, if given, additionally receives every CensusRecord.
     """

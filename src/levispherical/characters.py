@@ -72,7 +72,7 @@ from .rootsys import (
     node_index,
     validate_node_subset,
 )
-from .sphericality import classify
+from .sphericality import LeviNotInDescents, classify
 from .weyl import (
     WeylElement,
     _walk,
@@ -485,7 +485,13 @@ def decompose_levi(
         raise NotLeviCharacter(
             f"the input is not s_{i}-invariant: coefficient {terms[wt]} at {wt}"
         )
-    mults = _straighten(spec, terms, subset)
+    return _sorted_entries(spec, _straighten(spec, terms, subset))
+
+
+def _sorted_entries(
+    spec: RootSystemSpec, mults: dict[Weight, int]
+) -> tuple[DecompositionEntry, ...]:
+    """The {mu: mult} of _straighten as entries in decompose_levi's order."""
     order = sorted(mults, key=_entry_key(spec), reverse=True)
     return tuple(DecompositionEntry(nu, mults[nu]) for nu in order)
 
@@ -551,6 +557,24 @@ def _d_straightener(
         return _straighten(spec, terms, res.levi)
 
     return multiplicities
+
+
+def decompose_demazure(
+    spec: RootSystemSpec, lam, w: WeylElement, levi
+) -> tuple[DecompositionEntry, ...]:
+    """The Demazure module of dominant lam and w as L_I-irreducibles.
+
+    For I inside the left descents of w only the character of d = w_0(I) w
+    is straightened, as in is_multiplicity_free; otherwise the character of
+    w goes to decompose_levi, which raises NotLeviCharacter unless it is
+    W_I-invariant.  Entries come in decompose_levi's order.
+    """
+    lam = _check_dominant(spec, lam)
+    try:
+        multiplicities = _d_straightener(spec, w, levi)
+    except LeviNotInDescents:
+        return decompose_levi(spec, demazure_char(spec, lam, w), levi)
+    return _sorted_entries(spec, multiplicities(lam))
 
 
 def is_multiplicity_free(

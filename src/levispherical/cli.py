@@ -35,6 +35,7 @@ import re
 import sys
 from collections import deque
 from contextlib import nullcontext
+from functools import partial
 from typing import Optional, Sequence
 
 from . import census as census_mod
@@ -42,14 +43,14 @@ from . import characters as chars_mod
 from .characters import (
     CharacterBudgetExceeded,
     DEFAULT_WITNESS_CAP,
+    decompose_demazure,
     decomposition_to_json,
-    decompose_levi,
     demazure_char,
     is_multiplicity_free,
     witness_search,
 )
 from .rootsys import RootSystemSpec, build_root_system
-from .sphericality import LeviNotInDescents, classify, classify_toric
+from .sphericality import classify, classify_toric
 from .weyl import (
     DEFAULT_ENUM_CAP,
     CapExceeded,
@@ -126,47 +127,38 @@ def _pretty_print(obj) -> None:
         print(json.dumps(obj))
 
 
-def _cmd_classify(args) -> int:
+def _run_word_command(cmd, args) -> int:
+    """Parse --type and --word, then --weight and --levi where declared; run cmd."""
     spec = build_root_system(args.type)
     w = from_word(spec, _parse_indices(args.word))
-    levi = _parse_levi(spec, args.levi, w)
-    result = classify(spec, w, levi)
-    _emit(result.to_json_dict(), args.pretty)
+    inputs = {}
+    if "weight" in args:
+        inputs["lam"] = _parse_weight(spec, args.weight)
+    if "levi" in args:
+        inputs["levi"] = _parse_levi(spec, args.levi, w)
+    return cmd(args, spec, w, **inputs)
+
+
+def _cmd_classify(args, spec, w, levi) -> int:
+    _emit(classify(spec, w, levi).to_json_dict(), args.pretty)
     return 0
 
 
-def _cmd_toric(args) -> int:
-    spec = build_root_system(args.type)
-    w = from_word(spec, _parse_indices(args.word))
-    _emit(
-        {
-            "type": str(spec.cartan_type),
-            "w_word": list(reduced_word(spec, w)),
-            "toric": classify_toric(spec, w),
-        },
-        args.pretty,
-    )
+def _emit_about_w(args, spec, w, key, value) -> int:
+    word = list(reduced_word(spec, w))
+    _emit({"type": str(spec.cartan_type), "w_word": word, key: value}, args.pretty)
     return 0
 
 
-def _cmd_descents(args) -> int:
-    spec = build_root_system(args.type)
-    w = from_word(spec, _parse_indices(args.word))
-    _emit(
-        {
-            "type": str(spec.cartan_type),
-            "w_word": list(reduced_word(spec, w)),
-            "descents": sorted(left_descents(spec, w)),
-        },
-        args.pretty,
-    )
-    return 0
+def _cmd_toric(args, spec, w) -> int:
+    return _emit_about_w(args, spec, w, "toric", classify_toric(spec, w))
 
 
-def _cmd_demazure(args) -> int:
-    spec = build_root_system(args.type)
-    w = from_word(spec, _parse_indices(args.word))
-    lam = _parse_weight(spec, args.weight)
+def _cmd_descents(args, spec, w) -> int:
+    return _emit_about_w(args, spec, w, "descents", sorted(left_descents(spec, w)))
+
+
+def _cmd_demazure(args, spec, w, lam) -> int:
     char = demazure_char(spec, lam, w)
     if args.pretty:
         for entry in char.to_json_obj():
@@ -177,30 +169,13 @@ def _cmd_demazure(args) -> int:
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    spec = build_root_system(args.type)
-    w = from_word(spec, _parse_indices(args.word))
-    lam = _parse_weight(spec, args.weight)
-    levi = _parse_levi(spec, args.levi, w)
-    chars_mod._check_dominant(spec, lam)
-    try:
-        multiplicities = chars_mod._d_straightener(spec, w, levi)
-    except LeviNotInDescents:
-        # The character of w can still be W_I-invariant, e.g. for a
-        # non-regular lam, so it is expanded and checked whole.
-        char = demazure_char(spec, lam, w)
-        entries = decompose_levi(spec, char, levi)
-    else:
-        entries = multiplicities(lam).items()
+def _cmd_decompose(args, spec, w, lam, levi) -> int:
+    entries = decompose_demazure(spec, lam, w, levi)
     _emit(decomposition_to_json(entries), args.pretty)
     return 0
 
 
-def _cmd_mf_check(args) -> int:
-    spec = build_root_system(args.type)
-    w = from_word(spec, _parse_indices(args.word))
-    lam = _parse_weight(spec, args.weight)
-    levi = _parse_levi(spec, args.levi, w)
+def _cmd_mf_check(args, spec, w, lam, levi) -> int:
     chk = is_multiplicity_free(spec, lam, w, levi)
     _emit(
         {
@@ -217,10 +192,7 @@ def _cmd_mf_check(args) -> int:
     return 0
 
 
-def _cmd_witness(args) -> int:
-    spec = build_root_system(args.type)
-    w = from_word(spec, _parse_indices(args.word))
-    levi = _parse_levi(spec, args.levi, w)
+def _cmd_witness(args, spec, w, levi) -> int:
     found = witness_search(spec, w, levi, args.cap)
     if found is None:
         budget = chars_mod.DEFAULT_LAMBDA_BUDGET
@@ -281,63 +253,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, word=True):
+    def word_command(name, help, cmd, weight=False, levi_help=None):
+        """A subcommand on --type and --word, with --weight and --levi if asked."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--type", required=True, help="Cartan type, e.g. D4")
-        if word:
-            p.add_argument("--word", required=True, help="word in the generators")
+        p.add_argument("--word", required=True, help="word in the generators")
         p.add_argument("--pretty", action="store_true", help="human output")
+        if weight:
+            p.add_argument("--weight", required=True, help="dominant weight")
+        if levi_help:
+            p.add_argument("--levi", default="", help=levi_help)
+        p.set_defaults(func=partial(_run_word_command, cmd))
+        return p
 
-    p = sub.add_parser("classify", help="decide Levi-sphericality of X_w")
-    common(p)
-    p.add_argument(
-        "--levi",
-        default="",
-        help="node subset; 'descents' uses the full left descent set; "
+    nodes_help = "node subset or 'descents'"
+    word_command(
+        "classify",
+        "decide Levi-sphericality of X_w",
+        _cmd_classify,
+        levi_help="node subset; 'descents' uses the full left descent set; "
         "empty means the torus case",
     )
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("toric", help="does X_w contain a dense torus orbit")
-    common(p)
-    p.set_defaults(func=_cmd_toric)
-
-    p = sub.add_parser("descents", help="left descent set of w")
-    common(p)
-    p.set_defaults(func=_cmd_descents)
-
-    p = sub.add_parser("demazure", help="Demazure character of (lambda, w)")
-    common(p)
-    p.add_argument("--weight", required=True, help="dominant weight")
-    p.set_defaults(func=_cmd_demazure)
-
-    p = sub.add_parser(
-        "decompose", help="Levi decomposition of the Demazure character"
+    word_command("toric", "does X_w contain a dense torus orbit", _cmd_toric)
+    word_command("descents", "left descent set of w", _cmd_descents)
+    word_command(
+        "demazure", "Demazure character of (lambda, w)", _cmd_demazure, weight=True
     )
-    common(p)
-    p.add_argument("--weight", required=True, help="dominant weight")
-    p.add_argument("--levi", default="", help="node subset or 'descents'")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser(
-        "mf-check", help="is the Demazure module multiplicity-free over L_I"
+    word_command(
+        "decompose",
+        "Levi decomposition of the Demazure character",
+        _cmd_decompose,
+        weight=True,
+        levi_help=nodes_help,
     )
-    common(p)
-    p.add_argument("--weight", required=True, help="dominant weight")
-    p.add_argument("--levi", default="", help="node subset or 'descents'")
-    p.set_defaults(func=_cmd_mf_check)
-
-    p = sub.add_parser(
-        "witness", help="search for a non-multiplicity-free highest weight"
+    word_command(
+        "mf-check",
+        "is the Demazure module multiplicity-free over L_I",
+        _cmd_mf_check,
+        weight=True,
+        levi_help=nodes_help,
     )
-    common(p)
-    p.add_argument("--levi", default="", help="node subset or 'descents'")
+    p = word_command(
+        "witness",
+        "search for a non-multiplicity-free highest weight",
+        _cmd_witness,
+        levi_help=nodes_help,
+    )
     p.add_argument(
         "--cap", type=int, default=DEFAULT_WITNESS_CAP, help="weight coordinate cap"
     )
-    p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("census", help="classify every element of the group")
-    common(p, word=False)
+    p.add_argument("--type", required=True, help="Cartan type, e.g. D4")
+    p.add_argument("--pretty", action="store_true", help="human output")
     p.add_argument(
         "--levi",
         default="all",

@@ -238,6 +238,20 @@ def classical_group_order(spec: RootSystemSpec) -> int:
     return 12  # G2
 
 
+def capped_group_order(spec: RootSystemSpec, cap: int, remedy: str) -> int:
+    """classical_group_order(spec); CapExceeded if it passes cap.
+
+    The message ends "raise the cap to " + remedy.
+    """
+    order = classical_group_order(spec)
+    if order > cap:
+        raise CapExceeded(
+            f"group of type {spec.cartan_type} has order {order}, "
+            f"over the cap {cap}; raise the cap to {remedy}"
+        )
+    return order
+
+
 def enumerate_group(
     spec: RootSystemSpec, cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[WeylElement]:
@@ -253,12 +267,7 @@ def enumerate_group(
     Raises CapExceeded, before the first element, when the order of the
     group (classical_group_order) passes cap; nothing is silently truncated.
     """
-    order = classical_group_order(spec)
-    if order > cap:
-        raise CapExceeded(
-            f"group of type {spec.cartan_type} has order {order}, "
-            f"over the cap {cap}; raise the cap to enumerate it"
-        )
+    order = capped_group_order(spec, cap, "enumerate it")
     n = spec.rank
     bonds = spec.weight_bonds
     letters = [bytes((j + 1,)) for j in range(n)]

@@ -10,6 +10,7 @@ from levispherical import (
     census_records,
     classify,
     cross_check,
+    enumerate_group,
     from_word,
     left_descents,
     run_census,
@@ -225,6 +226,20 @@ def test_cap_refusal_emits_nothing():
     with pytest.raises(CapExceeded):
         run_census(spec_of("B2"), cap=5, sink=sink)
     assert sink.getvalue() == ""
+
+
+def test_cap_refusals_name_the_order_and_the_cap():
+    # The census refuses in start_census, the enumeration before its first
+    # element; both from the group's order, with one message shape.
+    b2 = spec_of("B2")
+    head = "group of type B2 has order 8, over the cap 7; raise the cap to "
+    with pytest.raises(CapExceeded) as exc:
+        start_census(b2, "full-descent-only", 7)
+    assert str(exc.value) == head + "run this census"
+    with pytest.raises(CapExceeded) as exc:
+        next(enumerate_group(b2, 7))
+    assert str(exc.value) == head + "enumerate it"
+    assert start_census(b2, "full-descent-only", 8).group_order == 8
 
 
 def test_record_json_roundtrip():

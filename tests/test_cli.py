@@ -273,3 +273,48 @@ def test_census_into_a_closed_pipe_exits_one_quietly():
     assert proc.wait(timeout=120) == 1
     assert json.loads(first)["type"] == "D5"
     assert err == b""
+
+
+@pytest.mark.parametrize("word, levi", [("1 x", "1"), ("1", "1 x")])
+def test_unparseable_index_list_is_a_domain_error(capsys, word, levi):
+    code, out, err = run_cli(
+        capsys, "classify", "--type", "A2", "--word", word, "--levi", levi
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: cannot parse index list from '1 x'\n"
+
+
+@pytest.mark.parametrize("command", ["demazure", "decompose", "mf-check"])
+def test_weight_of_the_wrong_rank_is_a_domain_error(capsys, command):
+    code, out, err = run_cli(
+        capsys, command, "--type", "A2", "--word", "1", "--weight", "1 0 0"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: weight '1 0 0' has 3 coordinates, expected 2\n"
+
+
+def test_inputs_are_checked_type_word_weight_levi(capsys):
+    # Each input is parsed only once the ones before it are valid.
+    cases = [
+        (("Z9", "1 x", "1", "9"), "unknown family"),
+        (("A2", "1 x", "1", "9"), "cannot parse index list from '1 x'"),
+        (("A2", "1 5", "1", "9"), "letter 5 at position 2"),
+        (("A2", "1", "1", "9"), "has 1 coordinates"),
+        (("A2", "1", "1 1", "9"), "out of range"),
+    ]
+    for (cartan, word, weight, levi), message in cases:
+        code, out, err = run_cli(
+            capsys, "decompose", "--type", cartan, "--word", word,
+            "--weight", weight, "--levi", levi,
+        )
+        assert (code, out) == (1, ""), err
+        assert message in err
+
+
+def test_decompose_pretty_prints_one_entry_per_line(capsys):
+    code, out, err = run_cli(
+        capsys, "decompose", "--type", "A2", "--word", "1 2",
+        "--weight", "1 1", "--levi", "1", "--pretty",
+    )
+    assert (code, err) == (0, "")
+    assert out == "mu=[2, -1]  mult=1\nmu=[1, 1]  mult=1\n"

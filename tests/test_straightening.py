@@ -6,6 +6,7 @@ straightening replaced; they pin the entry order, not just the entry set.
 
 import hashlib
 import json
+import re
 import time
 from collections import Counter
 from itertools import combinations
@@ -14,9 +15,11 @@ import pytest
 
 from levispherical import (
     CharacterBudgetExceeded,
+    NonDominantWeight,
     NotLeviCharacter,
     characters,
     cross_check,
+    decompose_demazure,
     decompose_levi,
     demazure_char,
     enumerate_group,
@@ -88,6 +91,35 @@ def test_mf_check_of_d_matches_decomposition_of_w(type_str):
                 assert chk.multiplicity_free == (first is None)
                 if first is not None:
                     assert (chk.witness, chk.multiplicity) == first
+
+
+@pytest.mark.parametrize("type_str", ["B3", "G2"])
+def test_decompose_demazure_matches_decomposition_of_w(type_str):
+    # For I inside D_L(w) decompose_demazure straightens ch_d; for any other
+    # I it hands ch_w to decompose_levi, which refuses it unless W_I fixes it.
+    spec = spec_of(type_str)
+    nodes = range(1, spec.rank + 1)
+    for lam in [(1,) * spec.rank, (0,) * (spec.rank - 1) + (2,)]:
+        for w in enumerate_group(spec):
+            ch = demazure_char(spec, lam, w)
+            for k in range(spec.rank + 1):
+                for levi in combinations(nodes, k):
+                    try:
+                        want = decompose_levi(spec, ch, levi)
+                    except NotLeviCharacter as exc:
+                        with pytest.raises(NotLeviCharacter, match=re.escape(str(exc))):
+                            decompose_demazure(spec, lam, w, levi)
+                    else:
+                        assert decompose_demazure(spec, lam, w, levi) == want
+
+
+def test_decompose_demazure_checks_dominance_first():
+    a2 = spec_of("A2")
+    w = from_word(a2, [1])
+    with pytest.raises(NonDominantWeight, match="not dominant"):
+        decompose_demazure(a2, (1, -1), w, [9])
+    with pytest.raises(ValueError, match="out of range"):
+        decompose_demazure(a2, (1, 1), w, [9])
 
 
 def test_f4_rho_w0_decomposition_is_fast():

@@ -280,6 +280,36 @@ def test_package_imports_only_what_it_uses():
     assert unused == []
 
 
+def test_cli_uses_only_public_library_names():
+    # The CLI is a shell over the public API: it imports no underscore name
+    # from the package and reads no underscore attribute of a module.
+    path = Path(levispherical.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    modules = set()
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                modules.add(alias.asname or alias.name.partition(".")[0])
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("levispherical")
+            ):
+                private += [
+                    f"cli.py:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            private.append(f"cli.py:{node.lineno} {node.value.id}.{node.attr}")
+    assert private == []
+
+
 @pytest.mark.parametrize(
     "bad",
     [(0, 1), (0, 0, 0, 0), (0, 0.5, 0), (0, 0, True)],

@@ -60,6 +60,12 @@ def test_from_word_rejects_bad_letters():
         from_word(a2, [0, 1])
 
 
+@pytest.mark.parametrize("bad", [0, 3, -1, True, 1.0])
+def test_simple_reflection_rejects_bad_generators(bad):
+    with pytest.raises(WordLetterError, match="generator index"):
+        simple_reflection(spec_of("A2"), bad)
+
+
 @pytest.mark.parametrize("bad", ["zero", "rank+1", True, 1.0, "1", None])
 @pytest.mark.parametrize("pos", [1, 2, 117, 200])
 def test_from_word_names_the_bad_letter_of_a_long_word(bad, pos):
