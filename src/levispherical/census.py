@@ -171,11 +171,14 @@ def start_census(
 ) -> CensusSummary:
     """The empty summary of a census that may run, before any output.
 
-    Rejects an unknown levi_mode with ValueError, and a group whose order
-    passes cap with CapExceeded; enumeration is never silently truncated.
+    Rejects an unknown levi_mode or a cap below 1 with ValueError, and a
+    group whose order passes cap with CapExceeded; enumeration is never
+    silently truncated.
     """
     if levi_mode not in LEVI_MODES:
         raise ValueError(f"levi_mode must be one of {LEVI_MODES}")
+    if not (is_int(cap) and cap >= 1):
+        raise ValueError(f"census cap {cap!r} is not a positive integer")
     order = capped_group_order(spec, cap, "run this census")
     return CensusSummary(spec.cartan_type, levi_mode, order)
 
@@ -189,17 +192,29 @@ def census_records(
 
     Each record is counted into summary and written to sink as soon as its
     element leaves the enumeration, then yielded; no list of elements,
-    records or lines is held, and the words of w and w_0(I) are never
-    stripped, only that of d.  Every pair goes through the kernel that
-    classify uses, length-additivity check included; the subsets come from
-    the negative coordinates of w(rho), so they need no validation.
-    summary is complete once the stream ends.
+    records or lines is held.  The words of w and w_0(I) are never
+    stripped, and that of d only over its leading nodes: the kernel that
+    classify uses walks d(rho) over J = {1..k}, k = max(rank - 3, 0), to the
+    element z without left descents in J, and takes the rest of the word
+    from a table of those z, filled as they stream by.  z is no longer than
+    d, so it comes before w or is w itself (I empty).  The table holds
+    |W| / |W_J| words: 4,320 on E6, 24,192 on E7.  Every pair keeps the
+    length-additivity check; the subsets come from the negative coordinates
+    of w(rho), so they need no validation.  summary is complete once the
+    stream ends.
     """
     ct = spec.cartan_type
     by_length = summary.by_length
     full = summary.levi_mode == "full-descent-only"
+    cut = max(spec.rank - 3, 0)
+    head = tuple(j < cut for j in range(spec.rank))
+    tails: dict[Weight, tuple[int, ...]] = {}
     for w in enumerate_group(spec, summary.group_order):
         wt, w_word = w.rho_image, w.word
+        # w has no left descent in J iff its first letter, its smallest one,
+        # is past the cut.
+        if not w_word or w_word[0] > cut:
+            tails[wt] = w_word
         length = len(w_word)
         descents = tuple(j + 1 for j, c in enumerate(wt) if c < 0)
         if full:
@@ -217,7 +232,7 @@ def census_records(
         # An element is toric iff w itself is a standard Coxeter element.
         summary.toric_count += length == len(set(w_word))
         for subset in subsets:
-            d_word = _split(spec, wt, w_word, subset)[1]
+            d_word = _split(spec, wt, w_word, subset, head, tails)[1]
             rec = CensusRecord(
                 ct, w_word, length, subset, d_word, len(d_word) == len(set(d_word))
             )
@@ -242,7 +257,7 @@ def run_census(
     """Classify the whole group, streaming JSONL records to sink.
 
     start_census, then census_records to the end.  An E6 full-descent
-    census (51,840 records) runs in about 1.48 s at a peak RSS of 44 MB on a
+    census (51,840 records) runs in about 1.14 s at a peak RSS of 45 MB on a
     2-vCPU VM (perfbench census-e6 median, reference seconds).
 
     records_out, if given, additionally receives every CensusRecord.

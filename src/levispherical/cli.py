@@ -8,8 +8,8 @@ the stream at that record, with no summary.  Diagnostics go to stderr only.
 --pretty switches to a human-readable rendering.
 
 Words and node subsets are whitespace- or comma-separated 1-based indices
-("3 2 3 4 2 1 2" or "2,3"); weights are coordinate vectors in the
-fundamental-weight basis.
+("3 2 3 4 2 1 2" or "2,3"; an empty field, as in "2,,3", is an error);
+weights are coordinate vectors in the fundamental-weight basis.
 
 Exit codes: 0 success, 1 domain error (bad type, letter out of range, levi
 set not inside the descent set, non-dominant weight, an --out file that
@@ -64,9 +64,8 @@ def _parse_indices(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    parts = [p for p in re.split(r"[,\s]+", text) if p]
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(int(p) for p in re.split(r"\s*,\s*|\s+", text))
     except ValueError:
         raise ValueError(f"cannot parse index list from {text!r}")
 

@@ -21,13 +21,15 @@ standard Coxeter element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
-from . import weyl
 from .rootsys import CartanType, RootSystemSpec, validate_node_subset
 from .weyl import (
     Weight,
     WeylElement,
     _longest_parabolic,
+    _rho,
+    _walk,
     apply_word,
     is_standard_coxeter,
     left_descents,
@@ -83,18 +85,33 @@ def _split(
     rho_image: Weight,
     w_word: tuple[int, ...],
     subset: tuple[int, ...],
+    head: Sequence[bool],
+    tails: Mapping[Weight, tuple[int, ...]],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The words of w_0(I) and d = w_0(I) w, for w given by w(rho) and its word.
 
-    subset must be a validated I inside the left descent set of w.  Raises
-    LengthAdditivityError unless length(w) = length(w_0(I)) + length(d).
-    The memoised w_0(I) carries its word from the chamber walk that built it,
-    so only d's word is stripped here.  weyl._word is looked up at each call,
-    so that a test counting strips sees every one.
+    subset must be a validated I inside the left descent set of w.  The
+    memoised w_0(I) carries its word from the chamber walk that built it, so
+    it is never stripped.  head marks an initial segment J = {1..k} of the
+    nodes.  d factors as y z with y in W_J and z without left descents in
+    J, lengths adding (Bjorner-Brenti, Prop. 2.4.4); every node of J is
+    smaller than every other, so the canonical word of d is that of y, which
+    the chamber walk of d(rho) over J spells, followed by that of z, which
+    tails maps from z(rho), where the walk stops.  classify passes every
+    node and {rho: ()}, the full strip.  Raises LengthAdditivityError unless
+    length(w) = length(w_0(I)) + length(d), and RuntimeError if tails lacks z.
     """
     w0i_word = _longest_parabolic(spec, subset).word
     # w_0(I) is an involution, so d = w_0(I)^{-1} w = w_0(I) w.
-    d_word = weyl._word(spec, apply_word(spec, w0i_word, rho_image))
+    out = list(apply_word(spec, w0i_word, rho_image))
+    d_word = tuple(_walk(spec, out, head))
+    tail = tails.get(tuple(out))
+    if tail is None:
+        raise RuntimeError(
+            f"no tail word for {tuple(out)}, where the walk of d = "
+            f"w_0({list(subset)}) {w_word} over the leading nodes stops"
+        )
+    d_word += tail
     if len(w_word) != len(w0i_word) + len(d_word):
         raise LengthAdditivityError(
             f"length({w_word}) = {len(w_word)} but length(w_0({list(subset)})) + "
@@ -116,7 +133,9 @@ def classify(spec: RootSystemSpec, w: WeylElement, levi) -> ClassificationResult
         raise LeviNotInDescents(offending, left_descents(spec, w))
 
     w_word = w.word
-    w0i_word, d_word = _split(spec, w.rho_image, w_word, subset)
+    w0i_word, d_word = _split(
+        spec, w.rho_image, w_word, subset, (True,) * spec.rank, {_rho(spec): ()}
+    )
     support_d = tuple(sorted(set(d_word)))
     return ClassificationResult(
         cartan_type=spec.cartan_type,

@@ -228,6 +228,12 @@ def test_cap_refusal_emits_nothing():
     assert sink.getvalue() == ""
 
 
+@pytest.mark.parametrize("cap", [0, -1, True, 1.5])
+def test_cap_below_one_is_not_a_budget(cap):
+    with pytest.raises(ValueError, match="census cap .* is not a positive integer"):
+        start_census(spec_of("A2"), "all-subsets", cap)
+
+
 def test_cap_refusals_name_the_order_and_the_cap():
     # The census refuses in start_census, the enumeration before its first
     # element; both from the group's order, with one message shape.

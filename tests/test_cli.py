@@ -196,6 +196,23 @@ def test_census_cap_exit(capsys):
     assert "budget exhausted" in err
 
 
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_census_cap_below_one_is_a_domain_error(capsys, tmp_path, cap):
+    # Refused as bad input (exit 1), not as a spent budget, and before --out
+    # is opened: the file keeps its bytes.
+    target = tmp_path / "records.jsonl"
+    target.write_text("kept\n")
+    code, out, err = run_cli(
+        capsys, "census", "--type", "A2", "--cap", cap, "--out", str(target)
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: census cap {cap} is not a positive integer\n"
+    assert target.read_text() == "kept\n"
+    code, out, err = run_cli(capsys, "census", "--type", "A2", "--cap", "1")
+    assert (code, out) == (3, "")
+    assert "budget exhausted" in err
+
+
 def test_census_rejects_bad_levi_mode(capsys):
     code, out, err = run_cli(capsys, "census", "--type", "A2", "--levi", "1,2")
     assert code == 1
@@ -282,6 +299,26 @@ def test_unparseable_index_list_is_a_domain_error(capsys, word, levi):
     )
     assert (code, out) == (1, "")
     assert err == "error: cannot parse index list from '1 x'\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--weight", "1,,1"), ("--word", "1,,2"), ("--levi", "2,,")]
+)
+def test_empty_index_field_is_a_domain_error(capsys, flag, value):
+    inputs = {"--word": "1", "--weight": "1 1", "--levi": "1"}
+    inputs[flag] = value
+    argv = [part for item in inputs.items() for part in item]
+    code, out, err = run_cli(capsys, "decompose", "--type", "A2", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot parse index list from {value!r}\n"
+
+
+@pytest.mark.parametrize(
+    "word, letters", [("1 2", [1, 2]), ("1,2", [1, 2]), ("1, 2", [1, 2]), ("", [])]
+)
+def test_index_lists_split_at_commas_or_whitespace(capsys, word, letters):
+    doc = run_json(capsys, "descents", "--type", "A2", "--word", word)
+    assert doc["w_word"] == letters
 
 
 @pytest.mark.parametrize("command", ["demazure", "decompose", "mf-check"])

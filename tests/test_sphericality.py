@@ -14,6 +14,7 @@ from levispherical import (
     multiply,
     simple_reflection,
 )
+from levispherical.sphericality import _split
 from conftest import spec_of
 from oracles import left_inversions
 
@@ -204,3 +205,15 @@ def test_a2_exhaustive_ground_truth():
     w, subset = non_spherical[0]
     assert w == from_word(spec, [1, 2, 1])
     assert subset == ()
+
+
+def test_split_refuses_a_missing_tail():
+    # A census table without the element where the walk of d stops is an
+    # internal fault, raised as such: never a shorter word for d.
+    spec = spec_of("A3")
+    w = from_word(spec, [3, 1, 2])
+    head = (True, False, False)
+    with pytest.raises(RuntimeError, match="no tail word for"):
+        _split(spec, w.rho_image, w.word, (), head, {})
+    tails = {from_word(spec, [3, 2]).rho_image: (3, 2)}
+    assert _split(spec, w.rho_image, w.word, (), head, tails) == ((), (1, 3, 2))

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from levispherical import enumerate_group, longest_parabolic, run_census, weyl
+from levispherical import census, enumerate_group, longest_parabolic, run_census, weyl
 from levispherical.census import CensusRecord
 from conftest import spec_of
 from oracles import longest_parabolic_ascent
@@ -21,21 +21,46 @@ def test_enumeration_carries_the_canonical_word(type_str):
 
 def test_census_strips_only_d_and_each_w0_once(monkeypatch):
     spec = spec_of("F4")
-    strip = weyl._word
-    calls = 0
+    calls = {"_split": 0, "_word": 0}
 
-    def counting(spec, wt):
-        nonlocal calls
-        calls += 1
-        return strip(spec, wt)
+    def counting(module, name):
+        inner = getattr(module, name)
 
-    monkeypatch.setattr(weyl, "_word", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(census, "_split")
+    counting(weyl, "_word")
     weyl._longest_parabolic.cache_clear()
     summary = run_census(spec)
     assert summary.pair_count == 5089
-    # One strip per record, its d: each w0(I) carries the word of the walk
-    # that built it.  Fewer calls would mean d was stripped without _word.
-    assert calls == summary.pair_count
+    # The kernel derives d once per record.  It walks d(rho) over the leading
+    # nodes and looks the rest of the word up, so no element is stripped
+    # whole: not w, not d, and not w0(I), which carries the word of the walk
+    # that built it.
+    assert calls == {"_split": summary.pair_count, "_word": 0}
+
+
+@pytest.mark.parametrize(
+    "type_str, levi_mode",
+    [(t, m) for t in ("B3", "G2", "F4", "D5") for m in census.LEVI_MODES]
+    + [("E6", "full-descent-only")],
+)
+def test_census_d_word_is_the_full_strip(type_str, levi_mode):
+    # The census spells d over its leading nodes and looks the rest up; the
+    # word must be the one the full strip of d(rho) gives.
+    spec = spec_of(type_str)
+    rho = (1,) * spec.rank
+    summary = census.start_census(spec, levi_mode)
+    for rec in census.census_records(spec, summary):
+        w_rho = weyl.apply_word(spec, rec.w_word, rho)
+        w0_word = longest_parabolic(spec, rec.levi).word
+        d_rho = weyl.apply_word(spec, w0_word, w_rho)
+        assert rec.d_word == weyl._word(spec, d_rho), rec
+    assert summary.pair_count > 0
 
 
 @pytest.mark.parametrize(
