@@ -49,19 +49,22 @@ straightening the much smaller character of d.  pi_x e^lambda = e^lambda for
 every x in the stabiliser W_lambda, so the character of d at a dominant
 lambda depends only on the orbit point d(lambda): its steps run along the
 shortest word, the one the chamber walk spells from d(lambda) back to lambda
-(the minimal representative of d W_lambda), and it is expanded once per
-orbit point and term ceiling, in a memo keyed by both and bounded by the
-number of terms it holds.  Straightening adds an L_I-dominant term as it
-stands and drops one with an I-coordinate equal to -1 (mu + rho on a wall);
-only the rest are walked.  Decompositions list their highest weights in
-descending order of height, then of grade (coordinate sum), then
-lexicographically.
+(the minimal representative of d W_lambda).  The walk from the next point
+s_j d(lambda) of that walk spells the rest of its letters, so the character
+at an orbit point is pi_j of the character at its neighbour: each orbit
+point is built in one operator step from the next point of its walk, once
+per term ceiling, in a memo keyed by both and bounded by the number of
+terms it holds.  Straightening adds an L_I-dominant term as it stands and
+drops one with an I-coordinate equal to -1 (mu + rho on a wall); only the
+rest are walked.  Decompositions list their highest weights in descending
+order of height, then of grade (coordinate sum), then lexicographically.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, islice
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
@@ -529,6 +532,37 @@ _D_CHAR_TERMS = 200_000
 _D_CHARS = _TermMemo(_D_CHAR_TERMS)
 
 
+def _orbit_char(spec: RootSystemSpec, lam: Weight, point: Weight) -> dict[Weight, int]:
+    """The character of d at dominant lam, given its orbit point d(lam).
+
+    With j the first letter the chamber walk spells from a point p != lam,
+    the walk from s_j p spells the rest of p's letters, so the character at
+    p is pi_j of the character at s_j p.  A miss walks from point toward
+    lam until a point the memo holds, or lam itself ({lam: 1}, not stored),
+    then applies the operators back up the path and stores every point it
+    passes: each orbit point costs one operator step, once per ceiling.
+    """
+    ceiling = DEFAULT_TERM_CEILING
+    key = (spec, lam, point, ceiling)
+    terms = _D_CHARS.entries.get(key)
+    if terms is not None:
+        return terms
+    passed = []
+    for i in _word(spec, point):
+        passed.append((i, key))
+        point = apply_word(spec, (i,), point)
+        key = (spec, lam, point, ceiling)
+        terms = _D_CHARS.entries.get(key)
+        if terms is not None:
+            break
+    else:
+        terms = {lam: 1}
+    for i, key in reversed(passed):
+        terms = _apply_op(spec, i - 1, terms)
+        _D_CHARS.put(key, terms)
+    return terms
+
+
 def _d_straightener(
     spec: RootSystemSpec, w: WeylElement, levi
 ) -> Callable[[Weight], dict[Weight, int]]:
@@ -539,9 +573,10 @@ def _d_straightener(
     pi_x e^lam = e^lam for every x in the stabiliser W_lam, so the character
     of d at lam is that of the minimal representative u of d W_lam: the word
     that walks the orbit point d(lam) back to lam.  Its steps run along that
-    shortest word, each bounded by the term ceiling, and the character is
-    kept in a bounded module memo keyed by (spec, lam, d(lam), ceiling), so
-    each orbit point is expanded once per ceiling.  The function takes a
+    shortest word, each bounded by the term ceiling, and every point of the
+    walk is kept in a bounded module memo keyed by (spec, lam, point,
+    ceiling): a miss resumes from the nearest point the memo holds, so each
+    orbit point costs one operator step per ceiling.  The function takes a
     checked dominant lam and returns the unsorted {mu: mult} of _straighten.
     Raises LeviNotInDescents unless I lies inside the left descents of w.
     """
@@ -549,12 +584,7 @@ def _d_straightener(
 
     def multiplicities(lam: Weight) -> dict[Weight, int]:
         point = apply_word(spec, res.d_word, lam)
-        key = (spec, lam, point, DEFAULT_TERM_CEILING)
-        terms = _D_CHARS.entries.get(key)
-        if terms is None:
-            terms = _char_along_word(spec, lam, _word(spec, point))
-            _D_CHARS.put(key, terms)
-        return _straighten(spec, terms, res.levi)
+        return _straighten(spec, _orbit_char(spec, lam, point), res.levi)
 
     return multiplicities
 
@@ -586,9 +616,10 @@ def is_multiplicity_free(
     the Demazure character is a genuine L_I-character).  Only the character
     of d = w_0(I) w is expanded, with steps along the shortest word that
     carries lam to d(lam), each bounded by DEFAULT_TERM_CEILING; it is
-    memoised by orbit point and ceiling, so a repeated d(lam) is not
-    expanded again.  The witness is the first repeated entry of the sorted
-    decomposition, found without sorting it.
+    memoised by orbit point and ceiling with every point of that walk, so a
+    repeated d(lam) is not expanded again and a new one resumes from the
+    nearest point already built.  The witness is the first repeated entry of
+    the sorted decomposition, found without sorting it.
     """
     lam = _check_dominant(spec, lam)
     mults = _d_straightener(spec, w, levi)(lam)
@@ -598,8 +629,14 @@ def is_multiplicity_free(
     return MultiplicityCheck(False, mu, mults[mu])
 
 
-def _dominant_weights_graded(rank: int, cap: int) -> Iterator[Weight]:
-    """Dominant weights with coordinates <= cap, in graded-lex order."""
+@lru_cache(maxsize=8)
+def _dominant_weights_graded(rank: int, cap: int, budget: int) -> tuple[Weight, ...]:
+    """The first budget dominant weights with coordinates <= cap, graded-lex.
+
+    The first is always lam = 0.  Cached per (rank, cap, budget), so a
+    cross-check builds the list once, not once per search; cap is user
+    input, so each entry holds at most budget weights.
+    """
 
     def parts(total: int, n: int) -> Iterator[tuple[int, ...]]:
         if n == 1:
@@ -610,8 +647,8 @@ def _dominant_weights_graded(rank: int, cap: int) -> Iterator[Weight]:
             for rest in parts(total - first, n - 1):
                 yield (first,) + rest
 
-    for total in range(rank * cap + 1):
-        yield from parts(total, rank)
+    graded = chain.from_iterable(parts(total, rank) for total in range(rank * cap + 1))
+    return tuple(islice(graded, budget))
 
 
 def witness_search(
@@ -623,12 +660,14 @@ def witness_search(
     """Search for a dominant lam whose Demazure module has a multiplicity >= 2.
 
     Scans dominant weights with coordinates <= coeff_cap in graded-lex order
-    and returns the first witness found.  Each lam expands only the character
-    of d = w_0(I) w, with steps along the shortest word that carries lam to
-    d(lam), and only for an orbit point d(lam) that the memo keyed by orbit
-    point and ceiling does not hold yet.  The search reads the one lambda
-    budget and the one term ceiling of this module when it runs, the same
-    pair that every character path and command obeys: it tries at most
+    and returns the first witness found.  lam = 0 comes first and counts
+    against the budget, but its module is trivial, never a witness, so it is
+    neither expanded nor straightened.  Each other lam expands only the
+    character of d = w_0(I) w, with steps along the shortest word that
+    carries lam to d(lam), resumed from the nearest point of that walk the
+    memo keyed by orbit point and ceiling holds.  The search reads the one
+    lambda budget and the one term ceiling of this module when it runs, the
+    same pair that every character path and command obeys: it tries at most
     DEFAULT_LAMBDA_BUDGET weights and skips a lam whose character passes
     DEFAULT_TERM_CEILING.  Exhausting the budget returns None, which is
     inconclusive: it is NOT a certificate of multiplicity-freeness.  A
@@ -640,8 +679,8 @@ def witness_search(
     if coeff_cap < 0:
         raise ValueError(f"witness coefficient cap {coeff_cap} is negative")
     multiplicities = _d_straightener(spec, w, levi)
-    weights = _dominant_weights_graded(spec.rank, coeff_cap)
-    for lam in islice(weights, DEFAULT_LAMBDA_BUDGET):
+    weights = _dominant_weights_graded(spec.rank, coeff_cap, DEFAULT_LAMBDA_BUDGET)
+    for lam in islice(weights, 1, None):
         try:
             mults = multiplicities(lam)
         except CharacterBudgetExceeded:
@@ -653,6 +692,12 @@ def witness_search(
 
 
 def decomposition_to_json(entries) -> list[dict]:
+    """Decomposition entries as JSON objects {"mu": [...], "mult": m}.
+
+    The objects come in ascending weight_sort_key order of mu (coordinate
+    sum, then lexicographically), whatever the order of entries; this is
+    not decompose_levi's descending order by height.
+    """
     return [
         {"mu": list(mu), "mult": m}
         for mu, m in sorted(entries, key=lambda e: weight_sort_key(e[0]))

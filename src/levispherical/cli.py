@@ -218,7 +218,7 @@ def _cmd_witness(args, spec, w, levi) -> int:
 
 def _cmd_census(args) -> int:
     spec = build_root_system(args.type)
-    mode_token = (args.levi or "all").strip().lower()
+    mode_token = args.levi.strip().lower()
     try:
         levi_mode = {"all": "all-subsets", "descents": "full-descent-only"}[
             mode_token

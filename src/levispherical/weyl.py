@@ -264,9 +264,13 @@ def enumerate_group(
     tuple of ints is built only when its element is yielded.  E6 (51,840
     elements) peaks at 1.8 MiB of traced allocations, and E7 (2,903,040,
     cap 3,000,000) at 87 MB peak RSS in 11 to 15 s on a 2-vCPU VM.
-    Raises CapExceeded, before the first element, when the order of the
-    group (classical_group_order) passes cap; nothing is silently truncated.
+    A cap that is not an int (bool included) or is below 1 is bad input and
+    raises ValueError, as in census.start_census.  Raises CapExceeded,
+    before the first element, when the order of the group
+    (classical_group_order) passes cap; nothing is silently truncated.
     """
+    if not (is_int(cap) and cap >= 1):
+        raise ValueError(f"enumeration cap {cap!r} is not a positive integer")
     order = capped_group_order(spec, cap, "enumerate it")
     n = spec.rank
     bonds = spec.weight_bonds

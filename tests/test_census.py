@@ -248,6 +248,17 @@ def test_cap_refusals_name_the_order_and_the_cap():
     assert start_census(b2, "full-descent-only", 8).group_order == 8
 
 
+@pytest.mark.parametrize("cap", [-1, 0, True, False, 1.5, "8", None])
+def test_enumeration_refuses_a_cap_that_is_not_a_positive_int(cap):
+    # Bad input, not a spent budget: the same rule as start_census.
+    b2 = spec_of("B2")
+    with pytest.raises(ValueError, match="enumeration cap .* is not a positive integer"):
+        next(enumerate_group(b2, cap))
+    with pytest.raises(ValueError, match="census cap .* is not a positive integer"):
+        start_census(b2, "all-subsets", cap)
+    assert len(list(enumerate_group(b2, 8))) == 8
+
+
 def test_record_json_roundtrip():
     spec = spec_of("F4")
     records = []

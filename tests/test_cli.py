@@ -219,6 +219,13 @@ def test_census_rejects_bad_levi_mode(capsys):
     assert "must be 'all' or 'descents'" in err
 
 
+@pytest.mark.parametrize("levi", ["", "  "])
+def test_census_rejects_an_empty_levi_mode(capsys, levi):
+    code, out, err = run_cli(capsys, "census", "--type", "A2", "--levi", levi)
+    assert (code, out) == (1, "")
+    assert "must be 'all' or 'descents'" in err
+
+
 def test_domain_error_exit_codes(capsys):
     # Unknown Cartan type
     code, out, err = run_cli(

@@ -6,6 +6,7 @@ straightening replaced; they pin the entry order, not just the entry set.
 
 import hashlib
 import json
+import random
 import re
 import time
 from collections import Counter
@@ -29,6 +30,7 @@ from levispherical import (
     longest_parabolic,
     reduced_word,
     run_census,
+    weyl,
     witness_search,
 )
 from levispherical.cli import main
@@ -299,3 +301,79 @@ def test_orbit_memo_is_bounded(monkeypatch):
     assert memo.stored[-len(held):] == held
     memo.put("too large", {(i, 0, 0): 1 for i in range(61)})
     assert "too large" not in memo.entries and list(memo.entries) == held
+    # Walks that resume from a held point and lose it to eviction on the way
+    # back up read the same as no memo at all.
+    tight = memo_reading_results(spec)
+    fresh_memo(monkeypatch, bound=0)
+    assert memo_reading_results(spec) == tight
+
+
+def fundamentals_and_rho(spec):
+    n = spec.rank
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(1,) * n]
+
+
+@pytest.mark.parametrize("type_str", ["B3", "G2", "D4", "F4"])
+def test_orbit_char_resumes_along_the_walk(type_str, monkeypatch):
+    # Visited in random order, each orbit point resumes from whatever earlier
+    # visits stored on its walk, and must still give the very dict the whole
+    # walk gives, insertion order included.  On F4 at rho only the points
+    # within 8 letters of rho are visited: all 1,152 take about a minute.
+    spec = spec_of(type_str)
+    rng = random.Random(7)
+    group = list(enumerate_group(spec))
+    for lam in fundamentals_and_rho(spec):
+        fresh_memo(monkeypatch)
+        points = sorted({weyl.apply_word(spec, w.word, lam) for w in group})
+        if type_str == "F4" and min(lam):
+            points = [p for p in points if len(weyl._word(spec, p)) <= 8]
+        rng.shuffle(points)
+        for p in points:
+            want = characters._char_along_word(spec, lam, weyl._word(spec, p))
+            assert list(characters._orbit_char(spec, lam, p).items()) == list(want.items())
+
+
+def test_orbit_char_steps_once_per_stored_point(monkeypatch):
+    spec = spec_of("F4")
+    memo = fresh_memo(monkeypatch, bound=10**9)
+    steps = Counter()
+    apply_op = characters._apply_op
+
+    def counted(spec, i0, terms):
+        out = apply_op(spec, i0, terms)
+        steps[id(out)] += 1
+        return out
+
+    monkeypatch.setattr(characters, "_apply_op", counted)
+    records = []
+    run_census(spec, records_out=records)
+    report = cross_check(spec, records, fundamentals_and_rho(spec), sample=1.0)
+    assert report.sampled == 5089 and report.witness_inconclusive == 0
+    assert sum(steps.values()) == len(memo.entries) > 0
+    assert {id(terms) for terms in memo.entries.values()} == set(steps)
+
+
+def test_witness_search_counts_zero_without_expanding_it(monkeypatch):
+    # lam = 0 comes first and its module is trivial: it spends the budget of
+    # one weight, and nothing is expanded or straightened.
+    def refuse(*args):
+        raise AssertionError("lam = 0 was expanded")
+
+    d4 = spec_of("D4")
+    w = from_word(d4, (3, 2, 3, 4, 2, 1, 2))
+    memo = fresh_memo(monkeypatch)
+    monkeypatch.setattr(characters, "DEFAULT_LAMBDA_BUDGET", 1)
+    monkeypatch.setattr(characters, "_apply_op", refuse)
+    monkeypatch.setattr(characters, "_straighten", refuse)
+    assert witness_search(d4, w, (2, 3)) is None
+    assert not memo.entries
+
+
+def test_witness_weights_are_bounded_by_the_budget():
+    # The coefficient cap is user input; the cached list never outgrows the
+    # lambda budget, and starts at lam = 0.
+    weights = characters._dominant_weights_graded(8, 10**9, 50)
+    assert len(weights) == 50 and weights[0] == (0,) * 8
+    assert weights == tuple(sorted(weights, key=characters.weight_sort_key))
+    full = characters._dominant_weights_graded(3, 2, 10_000)
+    assert len(full) == 27 and len(set(full)) == 27
