@@ -28,9 +28,9 @@ from .weyl import (
     Weight,
     WeylElement,
     _longest_parabolic,
+    _reflect,
     _rho,
     _walk,
-    apply_word,
     is_standard_coxeter,
     left_descents,
 )
@@ -92,18 +92,21 @@ def _split(
 
     subset must be a validated I inside the left descent set of w.  The
     memoised w_0(I) carries its word from the chamber walk that built it, so
-    it is never stripped.  head marks an initial segment J = {1..k} of the
-    nodes.  d factors as y z with y in W_J and z without left descents in
-    J, lengths adding (Bjorner-Brenti, Prop. 2.4.4); every node of J is
-    smaller than every other, so the canonical word of d is that of y, which
-    the chamber walk of d(rho) over J spells, followed by that of z, which
-    tails maps from z(rho), where the walk stops.  classify passes every
-    node and {rho: ()}, the full strip.  Raises LengthAdditivityError unless
-    length(w) = length(w_0(I)) + length(d), and RuntimeError if tails lacks z.
+    it is never stripped; that word reflects one list, a copy of w(rho), in
+    place into d(rho), which the walk below then continues.  head marks an
+    initial segment J = {1..k} of the nodes.  d factors as y z with y in W_J
+    and z without left descents in J, lengths adding (Bjorner-Brenti, Prop.
+    2.4.4); every node of J is smaller than every other, so the canonical
+    word of d is that of y, which the chamber walk of d(rho) over J spells,
+    followed by that of z, which tails maps from z(rho), where the walk
+    stops.  classify passes every node and {rho: ()}, the full strip.
+    Raises LengthAdditivityError unless length(w) = length(w_0(I)) +
+    length(d), and RuntimeError if tails lacks z.
     """
     w0i_word = _longest_parabolic(spec, subset).word
     # w_0(I) is an involution, so d = w_0(I)^{-1} w = w_0(I) w.
-    out = list(apply_word(spec, w0i_word, rho_image))
+    out = list(rho_image)
+    _reflect(spec, out, w0i_word)
     d_word = tuple(_walk(spec, out, head))
     tail = tails.get(tuple(out))
     if tail is None:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .rootsys import (
     RootSystemSpec,
@@ -77,20 +77,28 @@ class WeylElement:
         return word
 
 
-def apply_word(spec: RootSystemSpec, word: Iterable[int], wt: Weight) -> Weight:
-    """s_{i1} s_{i2} ... s_{ik} (wt): the right end of the word acts first.
+def _reflect(spec: RootSystemSpec, out: list[int], word: Sequence[int]) -> None:
+    """Apply s_{i1} s_{i2} ... s_{ik} to the weight out in place, right end first.
 
-    Letters are 1-based and not checked here.  The reflections update one
-    list in place; the only tuple built is the result.
+    Letters are 1-based and not checked here.
     """
     bonds = spec.weight_bonds
-    out = list(wt)
-    for i in reversed(tuple(word)):
+    for i in reversed(word):
         j = i - 1
         k = out[j]
         out[j] = -k
         for b, a in bonds[j]:
             out[b] -= k * a
+
+
+def apply_word(spec: RootSystemSpec, word: Iterable[int], wt: Weight) -> Weight:
+    """s_{i1} s_{i2} ... s_{ik} (wt): the right end of the word acts first.
+
+    Letters are 1-based and not checked here.  The reflections update one
+    list in place (_reflect); the only tuple built is the result.
+    """
+    out = list(wt)
+    _reflect(spec, out, tuple(word))
     return tuple(out)
 
 
@@ -259,15 +267,28 @@ def enumerate_group(
 
     Within a length layer, elements come in increasing lexicographic order
     of w(rho), so the stream is deterministic.  Each element carries its
-    canonical reduced word, so no word is stripped.  Only the current and
-    the next layer are held, each word as bytes, one byte per letter; the
-    tuple of ints is built only when its element is yielded.  E6 (51,840
+    canonical reduced word, so no word is stripped.  The elements wrap the
+    (w(rho), word) pairs of _elements, which holds only the current and the
+    next layer, each word as bytes, one byte per letter.  E6 (51,840
     elements) peaks at 1.8 MiB of traced allocations, and E7 (2,903,040,
     cap 3,000,000) at 87 MB peak RSS in 11 to 15 s on a 2-vCPU VM.
     A cap that is not an int (bool included) or is below 1 is bad input and
     raises ValueError, as in census.start_census.  Raises CapExceeded,
     before the first element, when the order of the group
     (classical_group_order) passes cap; nothing is silently truncated.
+    """
+    for wt, word in _elements(spec, cap):
+        yield WeylElement(spec, wt, word)
+
+
+def _elements(
+    spec: RootSystemSpec, cap: int
+) -> Iterator[tuple[Weight, tuple[int, ...]]]:
+    """The (w(rho), canonical word) pairs of enumerate_group, in its order.
+
+    The census reads these raw pairs and builds no WeylElement.  The checks
+    are enumerate_group's: ValueError for a bad cap and CapExceeded, both at
+    the first next(), and the final count against classical_group_order.
     """
     if not (is_int(cap) and cap >= 1):
         raise ValueError(f"enumeration cap {cap!r} is not a positive integer")
@@ -290,7 +311,7 @@ def enumerate_group(
     count = 1
     while layer:
         for wt, word in layer:
-            yield WeylElement(spec, wt, tuple(word))
+            yield wt, tuple(word)
         # Each element of the next layer is made once, from this layer
         # alone: no seen-set, no dedupe.
         fresh = []

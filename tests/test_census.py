@@ -89,11 +89,11 @@ def test_census_is_byte_deterministic():
 def test_census_streams_records_during_enumeration(monkeypatch):
     # The first record reaches the sink before the enumeration has yielded
     # the whole group, so a census holds no list of elements.
-    enumerate_group = census.enumerate_group
+    elements = census._elements
     yielded = []
 
     def counting(spec, cap):
-        for w in enumerate_group(spec, cap):
+        for w in elements(spec, cap):
             yielded.append(w)
             yield w
 
@@ -104,7 +104,7 @@ def test_census_streams_records_during_enumeration(monkeypatch):
             if self.first_write_at is None:
                 self.first_write_at = len(yielded)
 
-    monkeypatch.setattr(census, "enumerate_group", counting)
+    monkeypatch.setattr(census, "_elements", counting)
     sink = Sink()
     summary = run_census(spec_of("D4"), sink=sink)
     assert len(yielded) == summary.group_order == 192
@@ -115,12 +115,12 @@ def test_census_cross_check_reads_the_live_stream(monkeypatch, capsys):
     # census --battery checks each record as it is written: the first check
     # runs before the enumeration has yielded the whole group, so no list of
     # records is held for the cross-check.
-    enumerate_group = census.enumerate_group
+    elements = census._elements
     yielded = []
     checked_at = []
 
     def counting(spec, cap):
-        for w in enumerate_group(spec, cap):
+        for w in elements(spec, cap):
             yielded.append(w)
             yield w
 
@@ -130,7 +130,7 @@ def test_census_cross_check_reads_the_live_stream(monkeypatch, capsys):
             return check(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(census, "enumerate_group", counting)
+    monkeypatch.setattr(census, "_elements", counting)
     for name in ("is_multiplicity_free", "witness_search"):
         monkeypatch.setattr(census, name, noting(getattr(census, name)))
     assert main(["census", "--type", "D4", "--battery", "rho"]) == 0
@@ -468,3 +468,83 @@ def test_cross_check_sampling_is_seeded():
     assert 0 < one.sampled < len(records)
     with pytest.raises(ValueError, match="sample rate"):
         cross_check(spec, records, [(1, 0, 0)], sample=0.0)
+
+
+@pytest.mark.parametrize("levi_mode", census.LEVI_MODES)
+@pytest.mark.parametrize("type_str", ["A1", "G2", "B3", "C3", "F4", "D5"])
+def test_census_lines_are_the_records_own_lines(type_str, levi_mode):
+    # The census formats each line from its text tables, to_json_line from
+    # the record: both through the one layout.
+    spec = spec_of(type_str)
+
+    class Sink(list):
+        write = list.append
+
+    sink = Sink()
+    summary = start_census(spec, levi_mode)
+    count = 0
+    for rec in census_records(spec, summary, sink):
+        count += 1
+        assert len(sink) == count
+        assert sink[-1] == rec.to_json_line() + "\n"
+    assert count == summary.pair_count > 0
+
+
+@pytest.mark.parametrize("type_str", ["A1", "G2", "F4", "E6"])
+@pytest.mark.parametrize("field", ["w_word", "levi", "d_word"])
+def test_hand_built_record_with_a_letter_past_the_nodes_names_its_field(
+    type_str, field
+):
+    spec = spec_of(type_str)
+    good = CensusRecord(spec.cartan_type, (1,), 1, (1,), (), True)
+    name = {"w_word": "w", "levi": "levi", "d_word": "d"}[field]
+    for letter in (0, spec.rank + 1):
+        bad = good._replace(**{field: getattr(good, field) + (letter,)})
+        with pytest.raises(ValueError, match=f"field '{name}' holds a letter outside"):
+            bad.to_json_line()
+
+
+def test_census_refuses_a_summary_of_another_type():
+    # An A3 stream would fill a B3 summary; an A2 summary is too small for
+    # B3, which must not read as a spent budget (CapExceeded).
+    a3, b3 = spec_of("A3"), spec_of("B3")
+    with pytest.raises(ValueError, match="summary of type B3 does not match A3"):
+        next(census_records(a3, start_census(b3)))
+    with pytest.raises(ValueError, match="summary of type A2 does not match B3"):
+        next(census_records(b3, start_census(spec_of("A2"))))
+
+
+def test_census_refuses_a_summary_it_has_filled():
+    a2 = spec_of("A2")
+    summary = start_census(a2)
+    records = list(census_records(a2, summary))
+    assert summary.to_json_dict()["by_length"]["0"]["elements"] == 1
+    assert sum(per["elements"] for per in summary.by_length.values()) == 6
+    with pytest.raises(ValueError, match="already holds counts"):
+        next(census_records(a2, summary))
+    # The refusal touched nothing.
+    assert summary.pair_count == len(records)
+    assert sum(per["elements"] for per in summary.by_length.values()) == 6
+
+
+@pytest.mark.parametrize(
+    "name, value, match",
+    [
+        ("levi_mode", "everything", "levi_mode must be one of"),
+        ("levi_mode", "", "levi_mode must be one of"),
+        ("group_order", 5, "order of A2 as 5, not 6"),
+        ("group_order", 7, "order of A2 as 7, not 6"),
+        ("pair_count", 1, "already holds counts"),
+        ("spherical_count", 1, "already holds counts"),
+        ("toric_count", 1, "already holds counts"),
+        ("by_length", {0: {"elements": 1, "pairs": 1, "spherical": 1}}, "already holds"),
+    ],
+)
+def test_census_refuses_a_summary_it_cannot_fill(name, value, match):
+    a2 = spec_of("A2")
+    summary = start_census(a2)
+    setattr(summary, name, value)
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match=match):
+        next(census_records(a2, summary, sink))
+    assert sink.getvalue() == ""

@@ -22,6 +22,7 @@ from levispherical import (
     reduced_word,
     simple_reflection,
     support,
+    weyl,
 )
 from conftest import random_element, random_length_additive_pair, spec_of
 from oracles import (
@@ -316,3 +317,47 @@ def test_enumeration_yields_tuples_of_ints(type_str):
         for part in (w.rho_image, w.known_word):
             assert type(part) is tuple
             assert set(map(type, part)) <= {int}
+
+
+@pytest.mark.parametrize("type_str", ["A3", "B3", "G2", "D4", "F4"])
+def test_enumeration_wraps_the_raw_stream(type_str):
+    # enumerate_group is _elements with each pair wrapped, in the same order.
+    spec = spec_of(type_str)
+    raw = list(weyl._elements(spec, classical_group_order(spec)))
+    assert [(w.rho_image, w.known_word) for w in enumerate_group(spec)] == raw
+    assert len(raw) == classical_group_order(spec)
+
+
+@pytest.mark.parametrize("stream", [enumerate_group, weyl._elements])
+@pytest.mark.parametrize("cap", [0, -1, True, 2.0])
+def test_both_streams_refuse_a_bad_cap(stream, cap):
+    with pytest.raises(ValueError, match="enumeration cap .* is not a positive integer"):
+        next(stream(spec_of("B2"), cap))
+
+
+@pytest.mark.parametrize("stream", [enumerate_group, weyl._elements])
+def test_both_streams_refuse_an_over_cap_group_before_any_element(stream):
+    b2 = spec_of("B2")
+    elements = stream(b2, 7)
+    with pytest.raises(CapExceeded, match="order 8, over the cap 7"):
+        next(elements)
+    assert len(list(stream(b2, 8))) == 8
+
+
+@pytest.mark.parametrize("type_str", ["A3", "B3", "C3", "G2", "F4", "E6"])
+def test_apply_word_matches_one_reflection_at_a_time(type_str, rng):
+    # s_i(wt) = wt - wt_i alpha_i, alpha_i being row i of the Cartan matrix;
+    # the word acts from its right end.
+    spec = spec_of(type_str)
+
+    def reference(word, wt):
+        for i in reversed(word):
+            k = wt[i - 1]
+            wt = tuple(x - k * a for x, a in zip(wt, spec.cartan_matrix[i - 1]))
+        return wt
+
+    for _ in range(50):
+        word = [rng.randint(1, spec.rank) for _ in range(rng.randint(0, 30))]
+        wt = tuple(rng.randint(-4, 4) for _ in range(spec.rank))
+        assert weyl.apply_word(spec, word, wt) == reference(word, wt)
+        assert weyl.apply_word(spec, iter(word), wt) == reference(word, wt)
