@@ -78,10 +78,10 @@ from .rootsys import (
 from .sphericality import LeviNotInDescents, classify
 from .weyl import (
     WeylElement,
+    _longest_parabolic,
     _walk,
     _word,
     apply_word,
-    longest_parabolic,
     reduced_word,
 )
 
@@ -211,9 +211,7 @@ def _check_weight(spec: RootSystemSpec, wt) -> Weight:
         wt = tuple(wt)
     except TypeError:  # not iterable: reported below like any other miss
         pass
-    if type(wt) is not tuple or len(wt) != spec.rank or not (
-        all(type(x) is int for x in wt) or all(is_int(x) for x in wt)
-    ):
+    if type(wt) is not tuple or len(wt) != spec.rank or not all(map(is_int, wt)):
         raise ValueError(
             f"weight {wt!r} is not an integer vector of rank {spec.rank}"
         )
@@ -361,8 +359,7 @@ def levi_irreducible_char(spec: RootSystemSpec, mu, levi) -> WeightPoly:
         raise NonDominantWeight(
             f"weight {mu} is not dominant for levi nodes {list(subset)}"
         )
-    word = reduced_word(spec, longest_parabolic(spec, subset))
-    terms = _char_along_word(spec, mu, word)
+    terms = _char_along_word(spec, mu, _longest_parabolic(spec, subset).word)
     if terms.get(mu) != 1:
         raise RuntimeError(
             f"levi character of {mu} over {list(subset)} has top "

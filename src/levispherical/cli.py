@@ -112,18 +112,14 @@ def _emit(obj, pretty: bool) -> None:
 
 
 def _pretty_print(obj) -> None:
+    """A dict as aligned key/value lines; a list of dicts as one line each."""
     if isinstance(obj, dict):
         width = max((len(str(k)) for k in obj), default=0)
         for k, v in obj.items():
             print(f"{str(k):<{width}}  {json.dumps(v)}")
-    elif isinstance(obj, list):
-        for item in obj:
-            if isinstance(item, dict):
-                print("  ".join(f"{k}={json.dumps(v)}" for k, v in item.items()))
-            else:
-                print(json.dumps(item))
     else:
-        print(json.dumps(obj))
+        for item in obj:
+            print("  ".join(f"{k}={json.dumps(v)}" for k, v in item.items()))
 
 
 def _run_word_command(cmd, args) -> int:

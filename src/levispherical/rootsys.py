@@ -2,8 +2,8 @@
 
 Conventions, fixed once for the whole package:
 
-* Types are the finite families A (rank >= 1), B (rank >= 2), C (rank >= 3),
-  D (rank >= 4), E (rank 6, 7, 8), F (rank 4), G (rank 2).  Nodes are
+* Types are the finite families A (rank 1..50), B (2..50), C (3..50),
+  D (4..50), E (rank 6, 7, 8), F (rank 4), G (rank 2).  Nodes are
   numbered 1..n in Bourbaki order: B_n and C_n put the doubled bond at the
   end of the chain (node n is short in B_n, long in C_n), D_n attaches both
   n-1 and n to node n-2 (so D4 has node 2 in the middle), E puts node 2 on
@@ -42,12 +42,13 @@ class InvalidCartanType(ValueError):
     """Raised for unknown families or ranks outside the finite range."""
 
 
-# Valid rank range per family, inclusive (None = unbounded above).
-_RANK_RANGE: dict[str, tuple[int, int | None]] = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (3, None),
-    "D": (4, None),
+# Valid rank range per family, inclusive.  A-D stop at rank 50: the positive
+# roots are closed eagerly, at a cost that grows about as rank**4.
+_RANK_RANGE: dict[str, tuple[int, int]] = {
+    "A": (1, 50),
+    "B": (2, 50),
+    "C": (3, 50),
+    "D": (4, 50),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
@@ -70,7 +71,7 @@ class CartanType:
         if rng is None:
             raise InvalidCartanType(f"unknown family {self.family!r}")
         lo, hi = rng
-        if self.rank < lo or (hi is not None and self.rank > hi):
+        if not lo <= self.rank <= hi:
             raise InvalidCartanType(
                 f"rank {self.rank} out of range for family {self.family}"
             )
@@ -114,10 +115,8 @@ def _dynkin_edges(ct: CartanType) -> list[tuple[int, int, int, int]]:
         return edges
     if fam == "F":
         return [(1, 2, -1, -1), (2, 3, -2, -1), (3, 4, -1, -1)]
-    if fam == "G":
-        # Node 1 short: <alpha_2, alpha_1^vee> = -3.
-        return [(1, 2, -1, -3)]
-    raise InvalidCartanType(f"unknown family {fam!r}")  # pragma: no cover
+    # G2, the one family left.  Node 1 short: <alpha_2, alpha_1^vee> = -3.
+    return [(1, 2, -1, -3)]
 
 
 def _cartan_matrix(ct: CartanType) -> Matrix:

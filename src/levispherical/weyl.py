@@ -69,12 +69,9 @@ class WeylElement:
 
     @property
     def word(self) -> tuple[int, ...]:
-        """Canonical reduced word, stripped from w(rho) once and then kept."""
+        """Canonical reduced word: known_word, or else stripped from w(rho)."""
         word = self.known_word
-        if word is None:
-            word = _word(self.spec, self.rho_image)
-            object.__setattr__(self, "known_word", word)
-        return word
+        return _word(self.spec, self.rho_image) if word is None else word
 
 
 def _reflect(spec: RootSystemSpec, out: list[int], word: Sequence[int]) -> None:
@@ -183,10 +180,7 @@ def length(spec: RootSystemSpec, w: WeylElement) -> int:
 
 
 def reduced_word(spec: RootSystemSpec, w: WeylElement) -> tuple[int, ...]:
-    """Canonical reduced word: repeatedly strip the smallest left descent.
-
-    Stripped once per element and kept on it.
-    """
+    """Canonical reduced word: repeatedly strip the smallest left descent."""
     return w.word
 
 
@@ -269,13 +263,11 @@ def enumerate_group(
     of w(rho), so the stream is deterministic.  Each element carries its
     canonical reduced word, so no word is stripped.  The elements wrap the
     (w(rho), word) pairs of _elements, which holds only the current and the
-    next layer, each word as bytes, one byte per letter.  E6 (51,840
-    elements) peaks at 1.8 MiB of traced allocations, and E7 (2,903,040,
-    cap 3,000,000) at 87 MB peak RSS in 11 to 15 s on a 2-vCPU VM.
-    A cap that is not an int (bool included) or is below 1 is bad input and
-    raises ValueError, as in census.start_census.  Raises CapExceeded,
-    before the first element, when the order of the group
-    (classical_group_order) passes cap; nothing is silently truncated.
+    next layer, each word as bytes, one byte per letter.  A cap that is not
+    an int (bool included) or is below 1 is bad input and raises
+    ValueError, as in census.start_census.  Raises CapExceeded, before the
+    first element, when the order of the group (classical_group_order)
+    passes cap; nothing is silently truncated.
     """
     for wt, word in _elements(spec, cap):
         yield WeylElement(spec, wt, word)

@@ -5,13 +5,15 @@ dimension oracle uses only the Cartan matrix and the positive-root list via
 the Weyl dimension formula, the counting oracles are closed-form classical
 formulas, the census oracle is Macdonald's product for the Poincare
 polynomial and the acyclic orientations of the Dynkin forest for the
-Coxeter elements, the root-coordinate oracles reflect roots letter by
-letter with the Cartan matrix, the type-A oracle models the Weyl group as
-the symmetric group on 1..n+1 acting by adjacent transpositions, the
-w_0(I) oracle ascends from rho by weight reflections read off the Cartan
-matrix, the Demazure oracle applies the three-case monomial rule term
-by term to the Cartan matrix, and the invariance oracle reflects every
-term of a polynomial by the same weight reflections.
+Coxeter elements (with weight reflections for the full-descent filter),
+the root-coordinate oracles reflect roots letter by letter with the Cartan
+matrix, the type-A oracle models the Weyl group as the symmetric group on
+1..n+1 acting by adjacent transpositions and reads its forbidden patterns
+off that brute-force census, the w_0(I) oracle ascends from rho by weight
+reflections read off the Cartan matrix, the Demazure oracle applies the
+three-case monomial rule term by term to the Cartan matrix, and the
+invariance oracle reflects every term of a polynomial by the same weight
+reflections.
 """
 
 from __future__ import annotations
@@ -107,7 +109,15 @@ def longest_parabolic_ascent(cartan, subset):
     v_j > 0, s_j raises the length by one; W_I is finite, so the ascent
     stops at the one element of W_I with every j in I as a left descent.
     """
-    v = (1,) * len(cartan)
+    return ascend(cartan, (1,) * len(cartan), subset)
+
+
+def ascend(cartan, v, subset):
+    """Reflect v by the first j in I with v_j > 0 until there is none.
+
+    For v = x(rho) each step is s_j x with length one more, so the ascent
+    ends at w_0(I) x when x has no left descent in I.
+    """
     while up := [j for j in subset if v[j - 1] > 0]:
         v = weight_reflect(cartan, v, up[0])
     return v
@@ -147,13 +157,14 @@ def poincare_polynomial(roots):
     return _poly_div_exact(num, den)
 
 
-def coxeter_elements(cartan) -> list[tuple[int, frozenset]]:
-    """(length, left descents) of every standard Coxeter element.
+def coxeter_elements(cartan) -> list[tuple[tuple[int, ...], frozenset]]:
+    """(a reduced word, left descents) of every standard Coxeter element.
 
     A standard Coxeter element with support J is an acyclic orientation of
     the Dynkin forest on J (a -> b when s_a comes before s_b in its word).
-    Its length is |J|, and its left descents are the sources: the letters
-    that no neighbour precedes.
+    Its word is a linear extension of the orientation, its length is |J|,
+    and its left descents are the sources: the letters that no neighbour
+    precedes.
     """
     n = len(cartan)
     out = []
@@ -165,13 +176,24 @@ def coxeter_elements(cartan) -> list[tuple[int, frozenset]]:
                 if cartan[a - 1][b - 1]
             ]
             for flips in itertools.product((False, True), repeat=len(edges)):
-                heads = {a if flip else b for (a, b), flip in zip(edges, flips)}
-                out.append((k, frozenset(support) - heads))
+                arrows = [
+                    (b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips)
+                ]
+                sources = frozenset(support) - {head for _, head in arrows}
+                word, left = [], set(support)
+                while left:
+                    first = min(
+                        x for x in left
+                        if not any(head == x and tail in left for tail, head in arrows)
+                    )
+                    word.append(first)
+                    left.remove(first)
+                out.append((tuple(word), sources))
     return out
 
 
-def census_oracle(spec) -> dict:
-    """The closed-form part of an all-subsets census summary.
+def census_oracle(spec, levi_mode="all-subsets") -> dict:
+    """The closed-form part of a census summary.
 
     by_length elements are the coefficients of P_W(q).  The w with I in
     D_L(w) are w_0(I) times a minimal coset representative, so by_length
@@ -182,21 +204,38 @@ def census_oracle(spec) -> dict:
     the (I, c) with c a standard Coxeter element whose left descents miss
     I, since d = c must be a minimal coset representative; such a pair has
     w = w_0(I) c of length N_I + length(c).
+
+    In full-descent mode (levi_mode "full-descent-only") each element has
+    one pair, so by_length pairs are its elements, and a spherical (I, c)
+    counts only when D_L(w_0(I) c) = I: the word of c applied to rho,
+    then the ascent over I, gives w_0(I) c (rho), whose negative
+    coordinates are D_L(w_0(I) c).
     """
     n = spec.rank
+    cartan = spec.cartan_matrix
+    full = levi_mode == "full-descent-only"
     p_w = poincare_polynomial(spec.positive_roots)
-    coxeter = coxeter_elements(spec.cartan_matrix)
-    pairs = [0] * len(p_w)
+    coxeter = coxeter_elements(cartan)
+    pairs = list(p_w) if full else [0] * len(p_w)
     spherical = [0] * len(p_w)
     for k in range(n + 1):
         for subset in itertools.combinations(range(1, n + 1), k):
             roots_i = phi_plus_of_subset(spec, subset)
-            cosets = _poly_div_exact(p_w, poincare_polynomial(roots_i))
-            for deg, c in enumerate(cosets):
-                pairs[len(roots_i) + deg] += c
-            for size, descents in coxeter:
-                if descents.isdisjoint(subset):
-                    spherical[len(roots_i) + size] += 1
+            if not full:
+                cosets = _poly_div_exact(p_w, poincare_polynomial(roots_i))
+                for deg, c in enumerate(cosets):
+                    pairs[len(roots_i) + deg] += c
+            for word, descents in coxeter:
+                if not descents.isdisjoint(subset):
+                    continue
+                if full:
+                    v = (1,) * n
+                    for i in reversed(word):
+                        v = weight_reflect(cartan, v, i)
+                    v = ascend(cartan, v, subset)
+                    if {i for i in range(1, n + 1) if v[i - 1] < 0} != set(subset):
+                        continue
+                spherical[len(roots_i) + len(word)] += 1
     return {
         "group_order": sum(p_w),
         "pair_count": sum(pairs),
@@ -432,3 +471,22 @@ def a_type_census(n: int) -> dict:
                 d = sym_compose(w0i, p)
                 pairs[(p, subset)] = sym_is_standard_coxeter(n, d)
     return {"elements": elements, "pairs": pairs}
+
+
+def a_type_full_descent_failures(n: int) -> set[tuple[int, ...]]:
+    """The permutations p of 1..n+1 with (p, D_L(p)) not spherical, by a_type_census."""
+    census = a_type_census(n)
+    return {
+        p
+        for p in census["elements"]
+        if not census["pairs"][(p, tuple(sorted(sym_left_descents(n, p))))]
+    }
+
+
+def sym_patterns(p, k: int) -> set[tuple[int, ...]]:
+    """The patterns of length k that p contains: its k-subsequences, standardised."""
+    out = set()
+    for sub in itertools.combinations(p, k):
+        order = sorted(sub)
+        out.add(tuple(order.index(x) + 1 for x in sub))
+    return out

@@ -19,7 +19,13 @@ from levispherical import (
 from levispherical import MultiplicityCheck, census
 from levispherical.cli import main
 from conftest import spec_of
-from oracles import a_type_census, census_oracle, sym_eval_word
+from oracles import (
+    a_type_census,
+    a_type_full_descent_failures,
+    census_oracle,
+    sym_eval_word,
+    sym_patterns,
+)
 
 
 def census_lines(type_str, **kw):
@@ -39,6 +45,50 @@ def test_census_summary_matches_closed_forms(type_str):
     for key in ("group_order", "pair_count", "spherical_count", "toric_count"):
         assert summary[key] == oracle[key]
     assert summary["by_length"] == oracle["by_length"]
+
+
+@pytest.mark.parametrize(
+    "type_str",
+    [
+        "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4",
+        "E6",
+    ],
+)
+def test_full_descent_summary_matches_closed_forms(type_str):
+    spec = spec_of(type_str)
+    summary = run_census(spec, levi_mode="full-descent-only").to_json_dict()
+    oracle = census_oracle(spec, "full-descent-only")
+    for key in ("group_order", "pair_count", "spherical_count", "toric_count"):
+        assert summary[key] == oracle[key]
+    assert summary["by_length"] == oracle["by_length"]
+    if type_str == "E6":
+        assert (oracle["spherical_count"], oracle["toric_count"]) == (1897, 242)
+
+
+@pytest.mark.parametrize(
+    "type_str, spherical, toric", [("E7", 7384, 634), ("E8", 28806, 1660)]
+)
+def test_full_descent_closed_forms_of_e7_and_e8(type_str, spherical, toric):
+    oracle = census_oracle(spec_of(type_str), "full-descent-only")
+    assert (oracle["spherical_count"], oracle["toric_count"]) == (spherical, toric)
+    assert oracle["pair_count"] == oracle["group_order"]
+
+
+def test_type_a_full_descents_are_spherical_iff_pattern_avoiding():
+    # Gao-Hodges-Yong: (w, D_L(w)) is spherical in type A iff w avoids the
+    # non-spherical permutations of S5, none of S4 being non-spherical.
+    patterns = a_type_full_descent_failures(4)
+    assert len(patterns) == 21
+    assert not a_type_full_descent_failures(3)
+    for n, count in ((4, 99), (5, 400), (6, 1590)):
+        records = []
+        summary = run_census(
+            spec_of(f"A{n}"), levi_mode="full-descent-only", records_out=records
+        )
+        assert summary.spherical_count == count
+        for rec in records:
+            avoids = sym_patterns(sym_eval_word(n, rec.w_word), 5).isdisjoint(patterns)
+            assert rec.spherical == avoids, rec
 
 
 def test_a2_against_brute_force_fixture():

@@ -32,6 +32,16 @@ from conftest import random_element, spec_of
 from oracles import first_moved_term, levi_symmetrise, weyl_dimension
 
 
+def test_weight_poly_repr_and_foreign_equality():
+    a2 = spec_of("A2")
+    small = demazure_char(a2, (1, 0), from_word(a2, [1]))
+    assert repr(small) == "WeightPoly(1*e(-1, 1), 1*e(1, 0))"
+    adjoint = demazure_char(a2, (1, 1), from_word(a2, [1, 2, 1]))
+    assert repr(adjoint).endswith(", ... (7 terms))")
+    assert repr(adjoint).count("*e(") == 6
+    assert small != small.as_dict() and small.__eq__(small.as_dict()) is NotImplemented
+
+
 def random_poly(spec, rng, terms=5):
     data = {}
     for _ in range(terms):

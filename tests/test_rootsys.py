@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from levispherical import (
@@ -105,6 +107,22 @@ def test_parse_cartan_type():
     for bad in ("H3", "A0", "B1", "C2", "D3", "E5", "E9", "F5", "G3", "A", "4", "AA2"):
         with pytest.raises(InvalidCartanType):
             parse_cartan_type(bad)
+
+
+def test_classical_ranks_stop_at_50():
+    assert len(build_root_system("A50").positive_roots) == 50 * 51 // 2
+    for family in "ABCD":
+        message = f"rank 51 out of range for family {family}"
+        with pytest.raises(InvalidCartanType, match=message):
+            parse_cartan_type(f"{family}51")
+    start = time.perf_counter()
+    with pytest.raises(InvalidCartanType):
+        build_root_system("A1000000")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_spec_repr_names_the_type():
+    assert repr(build_root_system("F4")) == "RootSystemSpec(F4)"
 
 
 def test_build_interns_specs():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from levispherical import (
+    LengthAdditivityError,
     LeviNotInDescents,
     classify,
     classify_toric,
@@ -217,3 +218,11 @@ def test_split_refuses_a_missing_tail():
         _split(spec, w.rho_image, w.word, (), head, {})
     tails = {from_word(spec, [3, 2]).rho_image: (3, 2)}
     assert _split(spec, w.rho_image, w.word, (), head, tails) == ((), (1, 3, 2))
+
+
+def test_split_refuses_a_word_too_long_for_w():
+    spec = spec_of("A3")
+    w = from_word(spec, [1])
+    rho = {(1,) * spec.rank: ()}
+    with pytest.raises(LengthAdditivityError, match=r"length\(\(1, 2, 2\)\) = 3"):
+        _split(spec, w.rho_image, w.word + (2, 2), (1,), (True,) * spec.rank, rho)

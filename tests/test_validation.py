@@ -201,6 +201,12 @@ def test_witness_negative_cap_exits_one(capsys):
     assert "coefficient cap" in err
 
 
+def test_rank_past_the_bound_exits_one(capsys):
+    code, out, err = run_cli(capsys, "classify", "--type", "A51", "--word", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: rank 51 out of range for family A\n"
+
+
 def test_root_count_invariant_raises(monkeypatch):
     monkeypatch.setattr(rootsys, "_positive_root_count", lambda ct: 0)
     with pytest.raises(RuntimeError, match="positive roots"):

@@ -39,6 +39,18 @@ from oracles import (
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"]
 
 
+def test_element_repr_names_type_and_rho_image():
+    assert repr(from_word(spec_of("A2"), [1])) == "WeylElement(A2, (-1, 2))"
+
+
+def test_enumeration_checks_its_count_against_the_formula(monkeypatch):
+    spec = spec_of("A2")
+    order = classical_group_order(spec)
+    monkeypatch.setattr(weyl, "classical_group_order", lambda spec: order + 1)
+    with pytest.raises(RuntimeError, match="found 6 elements, formula says 7"):
+        list(enumerate_group(spec))
+
+
 def all_elements(type_str):
     return list(enumerate_group(spec_of(type_str)))
 
