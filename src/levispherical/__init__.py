@@ -65,6 +65,7 @@ from .census import (
     InconsistencyError,
     census_records,
     cross_check,
+    fill_census,
     run_census,
     start_census,
 )

@@ -12,20 +12,20 @@ order of w(rho) in fundamental-weight coordinates, then subsets of the
 descent set in binary-counting order.  Reruns are byte-identical.
 
 census_records is the one stream of records: the JSONL sink, a caller's
-list and the cross-check all read it as it is produced.  cross_check
-validates records against explicit character computations: a spherical
-record must be multiplicity-free for every weight of the battery (a
-violation is raised as InconsistencyError), and a non-spherical record is
-handed to witness_search, whose failure to find a witness is merely
-inconclusive.
+list and the cross-check all read it as it is produced; fill_census runs
+the same census and builds no record.  cross_check validates records
+against explicit character computations: a spherical record must be
+multiplicity-free for every weight of the battery (a violation is raised as
+InconsistencyError), and a non-spherical record is handed to
+witness_search, whose failure to find a witness is merely inconclusive.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from dataclasses import asdict, dataclass, field
-from itertools import compress
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .characters import Weight, is_multiplicity_free, witness_search
@@ -37,6 +37,7 @@ from .sphericality import classify  # noqa: F401
 from .weyl import (
     DEFAULT_ENUM_CAP,
     _elements,
+    _layout,
     capped_group_order,
     classical_group_order,
     from_word,
@@ -228,46 +229,61 @@ def census_records(
     counts already in it) is refused with ValueError before the first
     record.  Each record is counted into summary and written to sink as soon
     as its element leaves the enumeration, then yielded; no list of
-    elements, records or lines is held.  The census reads the raw
-    (w(rho), word) pairs of weyl._elements and builds no WeylElement.  The
-    words of w and w_0(I) are never stripped, and that of d only over its
-    leading nodes: the kernel that classify uses walks d(rho) over
-    J = {1..k}, k = max(rank - 3, 0), to the element z without left
-    descents in J, and takes the rest of the word from a table of those z,
-    filled as they stream by.  z is no longer than d, so it comes before w
-    or is w itself (I empty).  The table holds |W| / |W_J| words: 4,320 on
-    E6, 24,192 on E7.  Every pair keeps the length-additivity check; the
-    subsets come from the negative coordinates of w(rho), so they need no
-    validation.  A second table, keyed by the descent set, holds each
-    descent set's subsets with the text of each, so a line joins the text
-    of w once per element and that of d once per record; _json_line lays it
-    out, as for CensusRecord.to_json_line.  summary is complete once the
-    stream ends.
+    elements, records or lines is held.  summary is complete once the
+    stream ends.  The records wrap the rows of _census_rows.
+    """
+    ct = spec.cartan_type
+    for row in _census_rows(spec, summary, sink):
+        yield CensusRecord(ct, *row)
+
+
+def _census_rows(
+    spec: RootSystemSpec, summary: CensusSummary, sink: Optional[IO[str]]
+) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...], bool]]:
+    """census_records as plain (w_word, length, levi, d_word, spherical) rows.
+
+    The refusal, the counting and the sink writes are all here; fill_census
+    drains this stream and builds no record.  The census reads the raw
+    (packed w(rho), word) pairs of weyl._elements and builds no WeylElement.
+    The words of w and w_0(I) are never stripped, and that of d only over
+    its leading nodes: the kernel that classify uses walks d(rho) over
+    J = {1..k}, k = max(rank - 3, 0), to the element z without left descents
+    in J, and takes the rest of the word from a table of those z, keyed by
+    the packed z(rho) and filled as they stream by.  z is no longer than d,
+    so it comes before w or is w itself (I empty).  The table holds |W| /
+    |W_J| words: 4,320 on E6, 24,192 on E7.  Every pair keeps the
+    length-additivity check; the subsets come from the negative coordinates
+    of w(rho), so they need no validation.  A second table, keyed by the
+    clear sign bits of the packed w(rho), that is by the descent set, holds
+    each descent set's subsets with the text of each, so a line joins the
+    text of w once per element and that of d once per record; _json_line
+    lays it out, as for CensusRecord.to_json_line.
     """
     _check_unstarted(spec, summary)
-    ct = spec.cartan_type
     by_length = summary.by_length
     full = summary.levi_mode == "full-descent-only"
+    lay = _layout(spec)
+    top = lay.top
     cut = max(spec.rank - 3, 0)
-    head = tuple(j < cut for j in range(spec.rank))
-    tails: dict[Weight, tuple[int, ...]] = {}
-    nodes = range(1, spec.rank + 1)
+    head = lay.mask(range(1, cut + 1))
+    tails: dict[int, tuple[int, ...]] = {}
     text = _node_text(spec.rank).__getitem__
-    line_head = _line_head(ct)
-    # descent set -> its (I, text of I) in census order
-    levis: dict[tuple[int, ...], list[tuple[tuple[int, ...], str]]] = {}
+    line_head = _line_head(spec.cartan_type)
+    # clear sign bits -> the (I, text of I) of that descent set, census order
+    levis: dict[int, list[tuple[tuple[int, ...], str]]] = {}
     for wt, w_word in _elements(spec, summary.group_order):
         # w has no left descent in J iff its first letter, its smallest one,
         # is past the cut.
         if not w_word or w_word[0] > cut:
             tails[wt] = w_word
         length = len(w_word)
-        descents = tuple(compress(nodes, map((0).__gt__, wt)))
-        subsets = levis.get(descents)
+        negative = top & ~wt
+        subsets = levis.get(negative)
         if subsets is None:
-            subsets = levis[descents] = []
-            top = 1 << len(descents)
-            for mask in (top - 1,) if full else range(top):
+            subsets = levis[negative] = []
+            descents = lay.nodes(negative)
+            size = 1 << len(descents)
+            for mask in (size - 1,) if full else range(size):
                 subset = tuple(d for b, d in enumerate(descents) if mask >> b & 1)
                 subsets.append((subset, ", ".join(map(text, subset))))
         per = by_length.get(length)
@@ -282,7 +298,6 @@ def census_records(
         for subset, levi_text in subsets:
             d_word = _split(spec, wt, w_word, subset, head, tails)[1]
             spherical = len(d_word) == len(set(d_word))
-            rec = CensusRecord(ct, w_word, length, subset, d_word, spherical)
             per["pairs"] += 1
             summary.pair_count += 1
             if spherical:
@@ -294,7 +309,17 @@ def census_records(
                     _json_line(line_head, w_text, length, levi_text, d_text, spherical)
                     + "\n"
                 )
-            yield rec
+            yield w_word, length, subset, d_word, spherical
+
+
+def fill_census(
+    spec: RootSystemSpec, summary: CensusSummary, sink: Optional[IO[str]] = None
+) -> None:
+    """Run the census of census_records to its end, building no record.
+
+    summary is then complete, and every line has been written to sink.
+    """
+    deque(_census_rows(spec, summary, sink), maxlen=0)
 
 
 def run_census(
@@ -312,9 +337,10 @@ def run_census(
     records_out, if given, additionally receives every CensusRecord.
     """
     summary = start_census(spec, levi_mode, cap)
-    for rec in census_records(spec, summary, sink):
-        if records_out is not None:
-            records_out.append(rec)
+    if records_out is None:
+        fill_census(spec, summary, sink)
+    else:
+        records_out.extend(census_records(spec, summary, sink))
     return summary
 
 

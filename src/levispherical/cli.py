@@ -33,7 +33,6 @@ import json
 import os
 import re
 import sys
-from collections import deque
 from contextlib import nullcontext
 from functools import partial
 from typing import Optional, Sequence
@@ -229,10 +228,10 @@ def _cmd_census(args) -> int:
     # Every refusal comes before open() truncates a file the run would not fill.
     summary = census_mod.start_census(spec, levi_mode, args.cap)
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as sink:
-        records = census_mod.census_records(spec, summary, sink)
         if battery is None:
-            deque(records, maxlen=0)
+            census_mod.fill_census(spec, summary, sink)
         else:
+            records = census_mod.census_records(spec, summary, sink)
             report = census_mod.cross_check(spec, records, battery, sample=args.sample)
     _emit(summary.to_json_dict(), args.pretty)
     if battery is not None:

@@ -70,6 +70,10 @@ class CartanType:
         rng = _RANK_RANGE.get(self.family)
         if rng is None:
             raise InvalidCartanType(f"unknown family {self.family!r}")
+        # bool is refused too: CartanType("A", True) == CartanType("A", 1), so
+        # it would take the place of A1 in the interned specs.
+        if not is_int(self.rank):
+            raise InvalidCartanType(f"rank {self.rank!r} is not an int")
         lo, hi = rng
         if not lo <= self.rank <= hi:
             raise InvalidCartanType(

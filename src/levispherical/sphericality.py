@@ -21,16 +21,13 @@ standard Coxeter element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .rootsys import CartanType, RootSystemSpec, validate_node_subset
 from .weyl import (
-    Weight,
     WeylElement,
+    _layout,
     _longest_parabolic,
-    _reflect,
-    _rho,
-    _walk,
     is_standard_coxeter,
     left_descents,
 )
@@ -82,36 +79,36 @@ class ClassificationResult:
 
 def _split(
     spec: RootSystemSpec,
-    rho_image: Weight,
+    rho_image: int,
     w_word: tuple[int, ...],
     subset: tuple[int, ...],
-    head: Sequence[bool],
-    tails: Mapping[Weight, tuple[int, ...]],
+    head: int,
+    tails: Mapping[int, tuple[int, ...]],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The words of w_0(I) and d = w_0(I) w, for w given by w(rho) and its word.
 
-    subset must be a validated I inside the left descent set of w.  The
-    memoised w_0(I) carries its word from the chamber walk that built it, so
-    it is never stripped; that word reflects one list, a copy of w(rho), in
-    place into d(rho), which the walk below then continues.  head marks an
-    initial segment J = {1..k} of the nodes.  d factors as y z with y in W_J
-    and z without left descents in J, lengths adding (Bjorner-Brenti, Prop.
-    2.4.4); every node of J is smaller than every other, so the canonical
-    word of d is that of y, which the chamber walk of d(rho) over J spells,
-    followed by that of z, which tails maps from z(rho), where the walk
+    rho_image is w(rho) packed by weyl._layout, and subset must be a
+    validated I inside the left descent set of w.  The memoised w_0(I)
+    carries its word from the chamber walk that built it, so it is never
+    stripped; that word reflects w(rho) into d(rho), which the walk below
+    then continues.  head holds the sign bits of an initial segment
+    J = {1..k} of the nodes.  d factors as y z with y in W_J and z without
+    left descents in J, lengths adding (Bjorner-Brenti, Prop. 2.4.4); every
+    node of J is smaller than every other, so the canonical word of d is
+    that of y, which the chamber walk of d(rho) over J spells, followed by
+    that of z, which tails maps from the packed z(rho), where the walk
     stops.  classify passes every node and {rho: ()}, the full strip.
     Raises LengthAdditivityError unless length(w) = length(w_0(I)) +
     length(d), and RuntimeError if tails lacks z.
     """
+    lay = _layout(spec)
     w0i_word = _longest_parabolic(spec, subset).word
     # w_0(I) is an involution, so d = w_0(I)^{-1} w = w_0(I) w.
-    out = list(rho_image)
-    _reflect(spec, out, w0i_word)
-    d_word = tuple(_walk(spec, out, head))
-    tail = tails.get(tuple(out))
+    d_word, z = lay.walk(lay.apply(w0i_word, rho_image), head)
+    tail = tails.get(z)
     if tail is None:
         raise RuntimeError(
-            f"no tail word for {tuple(out)}, where the walk of d = "
+            f"no tail word for {lay.unpack(z)}, where the walk of d = "
             f"w_0({list(subset)}) {w_word} over the leading nodes stops"
         )
     d_word += tail
@@ -136,8 +133,9 @@ def classify(spec: RootSystemSpec, w: WeylElement, levi) -> ClassificationResult
         raise LeviNotInDescents(offending, left_descents(spec, w))
 
     w_word = w.word
+    lay = _layout(spec)
     w0i_word, d_word = _split(
-        spec, w.rho_image, w_word, subset, (True,) * spec.rank, {_rho(spec): ()}
+        spec, lay.pack(w.rho_image), w_word, subset, lay.top, {lay.rho: ()}
     )
     support_d = tuple(sorted(set(d_word)))
     return ClassificationResult(

@@ -24,6 +24,23 @@ elements layer by layer in length order; each layer is emitted in
 lexicographic w(rho) order so the stream is deterministic.  Every element
 is reached once, from its canonical parent s_m w (m its smallest left
 descent), so its canonical word is the parent's with m prepended.
+
+The enumeration, the census and the sphericality kernel keep w(rho) packed
+into one int (_layout).  Each coordinate of w(rho) is <rho, beta^vee> for a
+coroot beta^vee, plus or minus its height, so its absolute value is at most
+H = h - 1, h = 2|Phi+|/rank the Coxeter number.  Each coordinate gets a
+field of bits = H.bit_length() + 1 bits and is stored plus the bias
+B = 2**(bits - 1) > H, so every field lies in 1..2B - 1; coordinate 1 takes
+the top field.  Then
+* integer order is the lexicographic order of w(rho),
+* a coordinate is negative iff the top bit of its field, its sign bit, is
+  clear, so the left descents are the clear sign bits and the smallest of
+  them is the highest, found by int.bit_length(),
+* s_j is one subtraction, P - (field_j - B) * A_j, with A_j the packed
+  alpha_j in weight coordinates, unbiased.
+E6 packs into 30 bits, E7 into 42, E8 into 48 and B50 into 400.  The
+packing holds only weights of the orbit of rho; apply_word and the list
+walk serve every other weight.
 """
 
 from __future__ import annotations
@@ -31,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
+from operator import lshift
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .rootsys import (
@@ -134,6 +152,92 @@ def _word(spec: RootSystemSpec, wt: Weight) -> tuple[int, ...]:
 
 def _rho(spec: RootSystemSpec) -> Weight:
     return (1,) * spec.rank
+
+
+class _Layout:
+    """The packing of w(rho) into one int for one root system (module docstring).
+
+    Nodes are 1-based.  top holds the sign bit of every field; a sign bit
+    is clear iff its coordinate is negative.  rho is rho packed.
+    """
+
+    def __init__(self, spec: RootSystemSpec) -> None:
+        n = spec.rank
+        self.height = 2 * len(spec.positive_roots) // n - 1  # H = h - 1
+        self.bits = bits = self.height.bit_length() + 1
+        self.bias = bias = 1 << (bits - 1)
+        self.field = (1 << bits) - 1
+        # Node i takes the field at shift (n - i) * bits.  A mask whose
+        # highest bit is the sign bit of node i has bit_length shift + bits,
+        # and step maps that bit_length to node i.
+        self.shifts = shifts = tuple((n - i) * bits for i in range(1, n + 1))
+        alphas = [
+            sum(c << s for c, s in zip(row, shifts)) for row in spec.cartan_matrix
+        ]
+        self.reflection = {i: (shifts[i - 1], alphas[i - 1]) for i in range(1, n + 1)}
+        self.step = {
+            shifts[i - 1] + bits: (i, shifts[i - 1], alphas[i - 1])
+            for i in range(1, n + 1)
+        }
+        self.top = self.mask(range(1, n + 1))
+        self.rho = self.pack(_rho(spec))
+
+    def pack(self, wt: Weight) -> int:
+        """wt packed; ValueError unless it has rank coordinates in -H..H."""
+        shifts = self.shifts
+        if len(wt) != len(shifts) or max(map(abs, wt)) > self.height:
+            raise ValueError(
+                f"weight {wt} is not {len(shifts)} coordinates within the bound "
+                f"{self.height} of every w(rho)"
+            )
+        # top is the packed zero weight: the bias in every field.
+        return self.top + sum(map(lshift, wt, shifts))
+
+    def unpack(self, p: int) -> Weight:
+        field, bias = self.field, self.bias
+        return tuple(((p >> s) & field) - bias for s in self.shifts)
+
+    def mask(self, nodes: Iterable[int]) -> int:
+        """The sign bits of the given nodes."""
+        return sum(self.bias << self.shifts[i - 1] for i in nodes)
+
+    def nodes(self, mask: int) -> tuple[int, ...]:
+        """The nodes whose sign bit is set in mask, in increasing order."""
+        top = self.bits - 1
+        return tuple(
+            i for i, s in enumerate(self.shifts, 1) if mask >> (s + top) & 1
+        )
+
+    def apply(self, word: Sequence[int], p: int) -> int:
+        """s_{i1} ... s_{ik} applied to the packed weight p, right end first."""
+        reflection, field, bias = self.reflection, self.field, self.bias
+        for i in reversed(word):
+            s, a = reflection[i]
+            p -= (((p >> s) & field) - bias) * a
+        return p
+
+    def walk(self, p: int, head: int) -> tuple[tuple[int, ...], int]:
+        """The chamber walk of p over the nodes whose sign bits head holds.
+
+        Each step reflects by the smallest such node with a negative
+        coordinate, the highest clear sign bit of p in head.  Returns the
+        letters in the order applied and the packed weight where it stops.
+        """
+        step, field, bias = self.step, self.field, self.bias
+        letters = []
+        neg = head & ~p
+        while neg:
+            i, s, a = step[neg.bit_length()]
+            letters.append(i)
+            p -= (((p >> s) & field) - bias) * a
+            neg = head & ~p
+        return tuple(letters), p
+
+
+@lru_cache(maxsize=None)
+def _layout(spec: RootSystemSpec) -> _Layout:
+    # One per interned spec: at most one per Cartan type.
+    return _Layout(spec)
 
 
 def identity(spec: RootSystemSpec) -> WeylElement:
@@ -269,55 +373,59 @@ def enumerate_group(
     first element, when the order of the group (classical_group_order)
     passes cap; nothing is silently truncated.
     """
-    for wt, word in _elements(spec, cap):
-        yield WeylElement(spec, wt, word)
+    unpack = _layout(spec).unpack
+    for p, word in _elements(spec, cap):
+        yield WeylElement(spec, unpack(p), word)
 
 
 def _elements(
     spec: RootSystemSpec, cap: int
-) -> Iterator[tuple[Weight, tuple[int, ...]]]:
-    """The (w(rho), canonical word) pairs of enumerate_group, in its order.
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The (packed w(rho), canonical word) pairs of enumerate_group, in its order.
 
-    The census reads these raw pairs and builds no WeylElement.  The checks
-    are enumerate_group's: ValueError for a bad cap and CapExceeded, both at
-    the first next(), and the final count against classical_group_order.
+    The census reads these raw pairs and builds no WeylElement; _layout
+    unpacks w(rho).  The checks are enumerate_group's: ValueError for a bad
+    cap and CapExceeded, both at the first next(), and the final count
+    against classical_group_order.
     """
     if not (is_int(cap) and cap >= 1):
         raise ValueError(f"enumeration cap {cap!r} is not a positive integer")
     order = capped_group_order(spec, cap, "enumerate it")
+    lay = _layout(spec)
     n = spec.rank
+    field, bias = lay.field, lay.bias
     bonds = spec.weight_bonds
-    letters = [bytes((j + 1,)) for j in range(n)]
     # s_j raises the length exactly when coordinate j is positive, and s_j u
     # has u as its canonical parent exactly when j is its smallest negative
     # coordinate.  s_j raises only its bond neighbours, so with m the
     # smallest negative coordinate of u (its first letter), s_j u is
-    # canonical for every j < m, and for j > m only if m bonds to j.  Those
-    # are the candidates; only the second kind needs the prefix check.
-    candidates = [
-        tuple(range(m)) + tuple(j for j in range(m + 1, n) if m in dict(bonds[j]))
-        for m in range(n)
-    ]
-    candidates.append(tuple(range(n)))  # rho: no negative coordinate
-    layer = [(_rho(spec), b"")]
+    # canonical for every j < m, and for j > m only if m bonds to j and the
+    # sign bits of the nodes m..j-1 of s_j u are all set.  Each candidate
+    # is (shift, packed alpha_j, letter, those sign bits; 0 for j < m).
+    candidates = []
+    for m in range(1, n + 2):  # n + 1: rho, with no negative coordinate
+        row = []
+        for j in range(1, n + 1):
+            if j > m and m - 1 not in dict(bonds[j - 1]):
+                continue
+            guard = lay.mask(range(m, j)) if j > m else 0
+            row.append((*lay.reflection[j], bytes((j,)), guard))
+        candidates.append(tuple(row))
+    layer = [(lay.rho, b"")]
     count = 1
     while layer:
-        for wt, word in layer:
-            yield wt, tuple(word)
+        for p, word in layer:
+            yield p, tuple(word)
         # Each element of the next layer is made once, from this layer
         # alone: no seen-set, no dedupe.
         fresh = []
-        for wt, word in layer:
-            m = word[0] - 1 if word else n
-            for j in candidates[m]:
-                k = wt[j]
-                if k > 0:
-                    child = list(wt)
-                    child[j] = -k
-                    for b, a in bonds[j]:
-                        child[b] -= k * a
-                    if j < m or min(child[m:j]) >= 0:
-                        fresh.append((tuple(child), letters[j] + word))
+        for p, word in layer:
+            for s, a, letter, guard in candidates[word[0] - 1 if word else n]:
+                f = (p >> s) & field
+                if f > bias:
+                    child = p - (f - bias) * a
+                    if child & guard == guard:
+                        fresh.append((child, letter + word))
         count += len(fresh)
         fresh.sort()
         layer = fresh

@@ -50,8 +50,8 @@ def test_census_summary_matches_closed_forms(type_str):
 @pytest.mark.parametrize(
     "type_str",
     [
-        "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4",
-        "E6",
+        "A1", "A2", "A3", "A4", "A7", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2",
+        "F4", "E6",
     ],
 )
 def test_full_descent_summary_matches_closed_forms(type_str):

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from levispherical import (
+    CartanType,
     InvalidCartanType,
     build_root_system,
     parse_cartan_type,
@@ -119,6 +120,16 @@ def test_classical_ranks_stop_at_50():
     with pytest.raises(InvalidCartanType):
         build_root_system("A1000000")
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("rank", [2.5, True, "2", None])
+def test_a_rank_that_is_not_an_int_is_refused(rank):
+    # CartanType("A", True) == CartanType("A", 1): had it been accepted, the
+    # interned spec of A1 would have become the spec of "ATrue".
+    with pytest.raises(InvalidCartanType, match="is not an int"):
+        CartanType("A", rank)
+    a1 = build_root_system("A1")
+    assert str(a1.cartan_type) == "A1" and type(a1.rank) is int
 
 
 def test_spec_repr_names_the_type():

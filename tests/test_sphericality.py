@@ -12,8 +12,10 @@ from levispherical import (
     identity,
     left_descents,
     length,
+    longest_parabolic,
     multiply,
     simple_reflection,
+    weyl,
 )
 from levispherical.sphericality import _split
 from conftest import spec_of
@@ -212,17 +214,31 @@ def test_split_refuses_a_missing_tail():
     # A census table without the element where the walk of d stops is an
     # internal fault, raised as such: never a shorter word for d.
     spec = spec_of("A3")
+    lay = weyl._layout(spec)
     w = from_word(spec, [3, 1, 2])
-    head = (True, False, False)
+    packed = lay.pack(w.rho_image)
+    head = lay.mask([1])
     with pytest.raises(RuntimeError, match="no tail word for"):
-        _split(spec, w.rho_image, w.word, (), head, {})
-    tails = {from_word(spec, [3, 2]).rho_image: (3, 2)}
-    assert _split(spec, w.rho_image, w.word, (), head, tails) == ((), (1, 3, 2))
+        _split(spec, packed, w.word, (), head, {})
+    tails = {lay.pack(from_word(spec, [3, 2]).rho_image): (3, 2)}
+    assert _split(spec, packed, w.word, (), head, tails) == ((), (1, 3, 2))
 
 
 def test_split_refuses_a_word_too_long_for_w():
     spec = spec_of("A3")
+    lay = weyl._layout(spec)
     w = from_word(spec, [1])
-    rho = {(1,) * spec.rank: ()}
+    rho = {lay.rho: ()}
     with pytest.raises(LengthAdditivityError, match=r"length\(\(1, 2, 2\)\) = 3"):
-        _split(spec, w.rho_image, w.word + (2, 2), (1,), (True,) * spec.rank, rho)
+        _split(spec, lay.pack(w.rho_image), w.word + (2, 2), (1,), lay.top, rho)
+
+
+@pytest.mark.parametrize("type_str", ["A50", "B50", "D50", "E8"])
+def test_longest_element_over_its_descents_leaves_the_identity(type_str):
+    # The widest packings: B50 holds w(rho) in a 400-bit int.
+    spec = spec_of(type_str)
+    nodes = range(1, spec.rank + 1)
+    w0 = from_word(spec, longest_parabolic(spec, nodes).word)
+    res = classify(spec, w0, nodes)
+    n = len(spec.positive_roots)
+    assert (res.d_word, res.spherical, res.len_w0I, res.len_w) == ((), True, n, n)

@@ -336,8 +336,42 @@ def test_enumeration_wraps_the_raw_stream(type_str):
     # enumerate_group is _elements with each pair wrapped, in the same order.
     spec = spec_of(type_str)
     raw = list(weyl._elements(spec, classical_group_order(spec)))
-    assert [(w.rho_image, w.known_word) for w in enumerate_group(spec)] == raw
+    unpack = weyl._layout(spec).unpack
+    assert [(w.rho_image, w.known_word) for w in enumerate_group(spec)] == [
+        (unpack(p), word) for p, word in raw
+    ]
     assert len(raw) == classical_group_order(spec)
+
+
+@pytest.mark.parametrize("type_str", ["A3", "A7", "B4", "C4", "D5"])
+def test_packing_holds_where_the_coordinate_bound_fills_its_bits(type_str):
+    # h - 1 = 2**k - 1 here, the largest bound k + 1 bits hold with room for
+    # the sign bit, so a field one bit short, or a bias one too small,
+    # wraps some coordinate.
+    spec = spec_of(type_str)
+    lay = weyl._layout(spec)
+    assert lay.bias == lay.height + 1
+    raw = list(weyl._elements(spec, classical_group_order(spec)))
+    rho = (1,) * spec.rank
+    for p, word in raw:
+        assert lay.unpack(p) == weyl.apply_word(spec, word, rho)
+    packed = [p for p, _ in raw]
+    assert sorted(packed) == sorted(packed, key=lay.unpack)
+    # The census counts of these types are checked against the oracle by
+    # test_census.py::test_full_descent_summary_matches_closed_forms.
+
+
+@pytest.mark.parametrize(
+    "type_str, width", [("E6", 30), ("E7", 42), ("E8", 48), ("B50", 400)]
+)
+def test_packed_width_follows_the_coxeter_number(type_str, width):
+    spec = spec_of(type_str)
+    lay = weyl._layout(spec)
+    assert lay.bits * spec.rank == width
+    assert lay.pack((lay.height,) * spec.rank).bit_length() == width
+    for bad in ((lay.height + 1,) + (0,) * (spec.rank - 1), (0,) * (spec.rank - 1)):
+        with pytest.raises(ValueError, match="within the bound"):
+            lay.pack(bad)
 
 
 @pytest.mark.parametrize("stream", [enumerate_group, weyl._elements])
