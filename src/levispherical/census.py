@@ -38,6 +38,7 @@ from .weyl import (
     DEFAULT_ENUM_CAP,
     _elements,
     _layout,
+    _longest_parabolic,
     capped_group_order,
     classical_group_order,
     from_word,
@@ -255,9 +256,9 @@ def _census_rows(
     length-additivity check; the subsets come from the negative coordinates
     of w(rho), so they need no validation.  A second table, keyed by the
     clear sign bits of the packed w(rho), that is by the descent set, holds
-    each descent set's subsets with the text of each, so a line joins the
-    text of w once per element and that of d once per record; _json_line
-    lays it out, as for CensusRecord.to_json_line.
+    each descent set's subsets with the text and the w_0(I) word of each,
+    so a line joins the text of w once per element and that of d once per
+    record; _json_line lays it out, as for CensusRecord.to_json_line.
     """
     _check_unstarted(spec, summary)
     by_length = summary.by_length
@@ -269,8 +270,8 @@ def _census_rows(
     tails: dict[int, tuple[int, ...]] = {}
     text = _node_text(spec.rank).__getitem__
     line_head = _line_head(spec.cartan_type)
-    # clear sign bits -> the (I, text of I) of that descent set, census order
-    levis: dict[int, list[tuple[tuple[int, ...], str]]] = {}
+    # clear sign bits -> (I, text of I, word of w_0(I)) per subset, census order
+    levis: dict[int, list[tuple[tuple[int, ...], str, tuple[int, ...]]]] = {}
     for wt, w_word in _elements(spec, summary.group_order):
         # w has no left descent in J iff its first letter, its smallest one,
         # is past the cut.
@@ -285,7 +286,8 @@ def _census_rows(
             size = 1 << len(descents)
             for mask in (size - 1,) if full else range(size):
                 subset = tuple(d for b, d in enumerate(descents) if mask >> b & 1)
-                subsets.append((subset, ", ".join(map(text, subset))))
+                w0i_word = _longest_parabolic(spec, subset).word
+                subsets.append((subset, ", ".join(map(text, subset)), w0i_word))
         per = by_length.get(length)
         if per is None:
             per = {"elements": 0, "pairs": 0, "spherical": 0}
@@ -295,8 +297,8 @@ def _census_rows(
         summary.toric_count += length == len(set(w_word))
         if sink is not None:
             w_text = ", ".join(map(text, w_word))
-        for subset, levi_text in subsets:
-            d_word = _split(spec, wt, w_word, subset, head, tails)[1]
+        for subset, levi_text, w0i_word in subsets:
+            d_word = _split(lay, wt, w_word, subset, w0i_word, head, tails)
             spherical = len(d_word) == len(set(d_word))
             per["pairs"] += 1
             summary.pair_count += 1

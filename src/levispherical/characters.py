@@ -41,19 +41,19 @@ sign (-1)^length(u); it is 0 when mu + rho is I-singular (Demazure character
 formula for w_0(I); Brauer-Klimyk straightening, Humphreys, Introduction to
 Lie Algebras, section 24); the chamber walk of weyl over I finds u and the
 parity of its length.  A W_I-invariant f equals pi_{w_0(I)} f, so
-straightening every term of f gives its L_I-multiplicities.  For I inside
-the left descents of w, pi_w = pi_{w_0(I)} pi_d with d = w_0(I) w
-(length-additive; Bjorner-Brenti, Combinatorics of Coxeter Groups,
-Prop. 2.4.4), so the multiplicities of the Demazure character of w come from
-straightening the much smaller character of d.  pi_x e^lambda = e^lambda for
-every x in the stabiliser W_lambda, so the character of d at a dominant
-lambda depends only on the orbit point d(lambda): its steps run along the
-shortest word, the one the chamber walk spells from d(lambda) back to lambda
-(the minimal representative of d W_lambda).  The walk from the next point
-s_j d(lambda) of that walk spells the rest of its letters, so the character
-at an orbit point is pi_j of the character at its neighbour: each orbit
-point is built in one operator step from the next point of its walk, once
-per term ceiling, in a memo keyed by both and bounded by the number of
+straightening every term of f gives its L_I-multiplicities.  pi_x e^lambda =
+e^lambda for every x in the stabiliser W_lambda, so the Demazure character
+of w at a dominant lambda depends only on the orbit point p = w(lambda): its
+steps run along the shortest word, the one the chamber walk spells from p
+back to lambda.  It is s_i-invariant iff p_i <= 0; when that holds for every
+i in I, q = w_0(I)(p) is I-dominant and pi_w e^lambda = pi_{w_0(I)} of the
+character at q (length-additive; Bjorner-Brenti, Combinatorics of Coxeter
+Groups, Prop. 2.4.4), so straightening the much smaller character at q
+gives the multiplicities; for I inside the left descents of w, q = d(lambda)
+with d = w_0(I) w.  The walk from the next point s_j p spells the rest of
+p's letters, so the character at p is pi_j of the character there: each
+orbit point is built in one operator step from the next point of its walk,
+once per term ceiling, in a memo keyed by both and bounded by the number of
 terms it holds.  Straightening adds an L_I-dominant term as it stands and
 drops one with an I-coordinate equal to -1 (mu + rho on a wall); only the
 rest are walked.  Decompositions list their highest weights in descending
@@ -75,7 +75,7 @@ from .rootsys import (
     node_index,
     validate_node_subset,
 )
-from .sphericality import LeviNotInDescents, classify
+from .sphericality import _check_descents
 from .weyl import (
     WeylElement,
     _longest_parabolic,
@@ -519,18 +519,18 @@ class _TermMemo:
         self.held += size
 
 
-# Characters of d at dominant weights, keyed by (spec, lam, d(lam), ceiling).
-# The character of d at lam depends only on the orbit point d(lam), and the
-# ceiling is part of the key so that a character expanded under one ceiling
-# is never handed out under a lower one.  _D_CHAR_TERMS bounds the memory:
-# a cross-check of every E6 full-descent record holds about 160,000 terms,
-# and 200,000 rank-6 terms take about 26 MB.
+# Characters at the orbit points of dominant weights, keyed by (spec, lam,
+# point, ceiling).  The character of any x at lam depends only on the orbit
+# point x(lam), and the ceiling is part of the key so that a character
+# expanded under one ceiling is never handed out under a lower one.
+# _D_CHAR_TERMS bounds the memory: a cross-check of every E6 full-descent
+# record holds about 160,000 terms, and 200,000 rank-6 terms take about 26 MB.
 _D_CHAR_TERMS = 200_000
 _D_CHARS = _TermMemo(_D_CHAR_TERMS)
 
 
 def _orbit_char(spec: RootSystemSpec, lam: Weight, point: Weight) -> dict[Weight, int]:
-    """The character of d at dominant lam, given its orbit point d(lam).
+    """The character of any x at dominant lam, given its orbit point x(lam).
 
     With j the first letter the chamber walk spells from a point p != lam,
     the walk from s_j p spells the rest of p's letters, so the character at
@@ -560,28 +560,30 @@ def _orbit_char(spec: RootSystemSpec, lam: Weight, point: Weight) -> dict[Weight
     return terms
 
 
-def _d_straightener(
-    spec: RootSystemSpec, w: WeylElement, levi
+def _levi_straightener(
+    spec: RootSystemSpec, w: WeylElement, subset: tuple[int, ...]
 ) -> Callable[[Weight], dict[Weight, int]]:
-    """Classify (w, I) once; return lam -> L_I-multiplicities of its module.
+    """lam -> L_I-multiplicities of the Demazure module of (lam, w).
 
-    pi_w = pi_{w_0(I)} pi_d with d = w_0(I) w, so the returned function
-    straightens the character of d and never expands the character of w.
-    pi_x e^lam = e^lam for every x in the stabiliser W_lam, so the character
-    of d at lam is that of the minimal representative u of d W_lam: the word
-    that walks the orbit point d(lam) back to lam.  Its steps run along that
-    shortest word, each bounded by the term ceiling, and every point of the
-    walk is kept in a bounded module memo keyed by (spec, lam, point,
-    ceiling): a miss resumes from the nearest point the memo holds, so each
-    orbit point costs one operator step per ceiling.  The function takes a
-    checked dominant lam and returns the unsorted {mu: mult} of _straighten.
-    Raises LeviNotInDescents unless I lies inside the left descents of w.
+    subset is a validated I.  With p = w(lam), only the character at
+    w_0(I)(p) is expanded, by _orbit_char, and straightened (module
+    docstring).  Takes a checked dominant lam and returns the unsorted
+    {mu: mult} of _straighten; the smallest i in I with p_i > 0, where the
+    character is not s_i-invariant, raises NotLeviCharacter.
     """
-    res = classify(spec, w, levi)
+    w_word = w.word
+    w0i_word = _longest_parabolic(spec, subset).word
 
     def multiplicities(lam: Weight) -> dict[Weight, int]:
-        point = apply_word(spec, res.d_word, lam)
-        return _straighten(spec, _orbit_char(spec, lam, point), res.levi)
+        point = apply_word(spec, w_word, lam)
+        for i in subset:
+            if point[i - 1] > 0:
+                raise NotLeviCharacter(
+                    f"the Demazure character is not s_{i}-invariant: "
+                    f"coordinate {i} of w(lambda) = {point} is positive"
+                )
+        point = apply_word(spec, w0i_word, point)
+        return _straighten(spec, _orbit_char(spec, lam, point), subset)
 
     return multiplicities
 
@@ -591,17 +593,14 @@ def decompose_demazure(
 ) -> tuple[DecompositionEntry, ...]:
     """The Demazure module of dominant lam and w as L_I-irreducibles.
 
-    For I inside the left descents of w only the character of d = w_0(I) w
-    is straightened, as in is_multiplicity_free; otherwise the character of
-    w goes to decompose_levi, which raises NotLeviCharacter unless it is
-    W_I-invariant.  Entries come in decompose_levi's order.
+    For any I, only the character at w_0(I)(w(lam)) is expanded and
+    straightened.  NotLeviCharacter names the smallest i in I at which
+    w(lam) has a positive coordinate, where the character is not
+    s_i-invariant.  Entries come in decompose_levi's order.
     """
     lam = _check_dominant(spec, lam)
-    try:
-        multiplicities = _d_straightener(spec, w, levi)
-    except LeviNotInDescents:
-        return decompose_levi(spec, demazure_char(spec, lam, w), levi)
-    return _sorted_entries(spec, multiplicities(lam))
+    subset = validate_node_subset(spec, levi)
+    return _sorted_entries(spec, _levi_straightener(spec, w, subset)(lam))
 
 
 def is_multiplicity_free(
@@ -609,21 +608,16 @@ def is_multiplicity_free(
 ) -> MultiplicityCheck:
     """Is the Demazure module for (lam, w) multiplicity-free over L_I?
 
-    Requires lam dominant and I inside the left descent set of w (so that
-    the Demazure character is a genuine L_I-character).  Only the character
-    of d = w_0(I) w is expanded, with steps along the shortest word that
-    carries lam to d(lam), each bounded by DEFAULT_TERM_CEILING; it is
-    memoised by orbit point and ceiling with every point of that walk, so a
-    repeated d(lam) is not expanded again and a new one resumes from the
-    nearest point already built.  The witness is the first repeated entry of
-    the sorted decomposition, found without sorting it.
+    Requires lam dominant and I inside the left descent set of w, else
+    LeviNotInDescents.  Only the character at w_0(I)(w(lam)) = d(lam),
+    d = w_0(I) w, is expanded, each step bounded by DEFAULT_TERM_CEILING.
+    The witness is the first repeated entry of the sorted decomposition,
+    found without sorting it.
     """
     lam = _check_dominant(spec, lam)
-    mults = _d_straightener(spec, w, levi)(lam)
+    mults = _levi_straightener(spec, w, _check_descents(spec, w, levi))(lam)
     mu = _first_repeat(spec, mults)
-    if mu is None:
-        return MultiplicityCheck(True, None, None)
-    return MultiplicityCheck(False, mu, mults[mu])
+    return MultiplicityCheck(mu is None, mu, mults.get(mu))
 
 
 @lru_cache(maxsize=8)
@@ -659,23 +653,22 @@ def witness_search(
     Scans dominant weights with coordinates <= coeff_cap in graded-lex order
     and returns the first witness found.  lam = 0 comes first and counts
     against the budget, but its module is trivial, never a witness, so it is
-    neither expanded nor straightened.  Each other lam expands only the
-    character of d = w_0(I) w, with steps along the shortest word that
-    carries lam to d(lam), resumed from the nearest point of that walk the
-    memo keyed by orbit point and ceiling holds.  The search reads the one
-    lambda budget and the one term ceiling of this module when it runs, the
-    same pair that every character path and command obeys: it tries at most
-    DEFAULT_LAMBDA_BUDGET weights and skips a lam whose character passes
-    DEFAULT_TERM_CEILING.  Exhausting the budget returns None, which is
-    inconclusive: it is NOT a certificate of multiplicity-freeness.  A
-    coeff_cap that is not an int (bool included) is rejected with
-    ValueError, and so is a negative one, which would try nothing.
+    neither expanded nor straightened.  I must lie inside the left descents
+    of w, else LeviNotInDescents; each other lam expands only the character
+    at d(lam), d = w_0(I) w.  The search reads the one lambda budget and the
+    one term ceiling of this module when it runs, the same pair that every
+    character path and command obeys: it tries at most DEFAULT_LAMBDA_BUDGET
+    weights and skips a lam whose character passes DEFAULT_TERM_CEILING.
+    Exhausting the budget returns None, which is inconclusive: it is NOT a
+    certificate of multiplicity-freeness.  A coeff_cap that is not an int
+    (bool included) is rejected with ValueError, and so is a negative one,
+    which would try nothing.
     """
     if not is_int(coeff_cap):
         raise ValueError(f"witness coefficient cap {coeff_cap!r} is not an integer")
     if coeff_cap < 0:
         raise ValueError(f"witness coefficient cap {coeff_cap} is negative")
-    multiplicities = _d_straightener(spec, w, levi)
+    multiplicities = _levi_straightener(spec, w, _check_descents(spec, w, levi))
     weights = _dominant_weights_graded(spec.rank, coeff_cap, DEFAULT_LAMBDA_BUDGET)
     for lam in islice(weights, 1, None):
         try:

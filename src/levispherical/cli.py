@@ -16,9 +16,8 @@ set not inside the descent set, non-dominant weight, an --out file that
 cannot be opened, ...) or stdout closed by its reader (census | head, with
 nothing on stderr), 2 usage error, 3 budget exhaustion (enumeration cap,
 character term ceiling, or a witness search that ends without a verdict).
-When the levi set lies inside the left descents of w, decompose, mf-check
-and witness expand only the character of d = w0(I) w, so the term ceiling
-bounds that character.
+decompose, mf-check and witness expand only the character at w0(I)(w(lam)),
+never that of w, so the term ceiling bounds that character.
 
 There is one character budget: the term ceiling and the lambda budget of
 the characters module.  The library reads them when it runs, so every

@@ -26,6 +26,7 @@ from typing import Mapping
 from .rootsys import CartanType, RootSystemSpec, validate_node_subset
 from .weyl import (
     WeylElement,
+    _Layout,
     _layout,
     _longest_parabolic,
     is_standard_coxeter,
@@ -77,32 +78,40 @@ class ClassificationResult:
         }
 
 
+def _check_descents(spec: RootSystemSpec, w: WeylElement, levi) -> tuple[int, ...]:
+    """The validated I; LeviNotInDescents unless it lies in the left descents of w."""
+    subset = validate_node_subset(spec, levi)
+    # i is a left descent of w iff coordinate i of w(rho) is negative.
+    offending = [i for i in subset if w.rho_image[i - 1] >= 0]
+    if offending:
+        raise LeviNotInDescents(offending, left_descents(spec, w))
+    return subset
+
+
 def _split(
-    spec: RootSystemSpec,
+    lay: _Layout,
     rho_image: int,
     w_word: tuple[int, ...],
     subset: tuple[int, ...],
+    w0i_word: tuple[int, ...],
     head: int,
     tails: Mapping[int, tuple[int, ...]],
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The words of w_0(I) and d = w_0(I) w, for w given by w(rho) and its word.
+) -> tuple[int, ...]:
+    """The word of d = w_0(I) w, for w given by w(rho) and its word.
 
-    rho_image is w(rho) packed by weyl._layout, and subset must be a
-    validated I inside the left descent set of w.  The memoised w_0(I)
-    carries its word from the chamber walk that built it, so it is never
-    stripped; that word reflects w(rho) into d(rho), which the walk below
-    then continues.  head holds the sign bits of an initial segment
-    J = {1..k} of the nodes.  d factors as y z with y in W_J and z without
-    left descents in J, lengths adding (Bjorner-Brenti, Prop. 2.4.4); every
-    node of J is smaller than every other, so the canonical word of d is
-    that of y, which the chamber walk of d(rho) over J spells, followed by
-    that of z, which tails maps from the packed z(rho), where the walk
-    stops.  classify passes every node and {rho: ()}, the full strip.
-    Raises LengthAdditivityError unless length(w) = length(w_0(I)) +
-    length(d), and RuntimeError if tails lacks z.
+    rho_image is w(rho) packed by lay, the weyl._layout of the root system;
+    subset is a validated I inside the left descent set of w, and w0i_word
+    the word that the memoised w_0(I) carries from the chamber walk that
+    built it, so it is never stripped.  head holds the sign bits of an
+    initial segment J = {1..k} of the nodes.  d factors as y z with y in
+    W_J and z without left descents in J, lengths adding (Bjorner-Brenti,
+    Prop. 2.4.4); every node of J is smaller than every other, so the
+    canonical word of d is that of y, which the chamber walk of d(rho) over
+    J spells, followed by that of z, which tails maps from the packed z(rho),
+    where the walk stops.  classify passes every node and {rho: ()}, the
+    full strip.  Raises LengthAdditivityError unless length(w) =
+    length(w_0(I)) + length(d), and RuntimeError if tails lacks z.
     """
-    lay = _layout(spec)
-    w0i_word = _longest_parabolic(spec, subset).word
     # w_0(I) is an involution, so d = w_0(I)^{-1} w = w_0(I) w.
     d_word, z = lay.walk(lay.apply(w0i_word, rho_image), head)
     tail = tails.get(z)
@@ -117,7 +126,7 @@ def _split(
             f"length({w_word}) = {len(w_word)} but length(w_0({list(subset)})) + "
             f"length(d) = {len(w0i_word)} + {len(d_word)}"
         )
-    return w0i_word, d_word
+    return d_word
 
 
 def classify(spec: RootSystemSpec, w: WeylElement, levi) -> ClassificationResult:
@@ -126,16 +135,12 @@ def classify(spec: RootSystemSpec, w: WeylElement, levi) -> ClassificationResult
     Requires I to be a subset of the left descent set of w; anything else is
     an error, not a verdict.
     """
-    subset = validate_node_subset(spec, levi)
-    # i is a left descent of w iff coordinate i of w(rho) is negative.
-    offending = [i for i in subset if w.rho_image[i - 1] >= 0]
-    if offending:
-        raise LeviNotInDescents(offending, left_descents(spec, w))
-
+    subset = _check_descents(spec, w, levi)
     w_word = w.word
+    w0i_word = _longest_parabolic(spec, subset).word
     lay = _layout(spec)
-    w0i_word, d_word = _split(
-        spec, lay.pack(w.rho_image), w_word, subset, lay.top, {lay.rho: ()}
+    d_word = _split(
+        lay, lay.pack(w.rho_image), w_word, subset, w0i_word, lay.top, {lay.rho: ()}
     )
     support_d = tuple(sorted(set(d_word)))
     return ClassificationResult(

@@ -95,10 +95,11 @@ def test_mf_check_of_d_matches_decomposition_of_w(type_str):
                     assert (chk.witness, chk.multiplicity) == first
 
 
-@pytest.mark.parametrize("type_str", ["B3", "G2"])
+@pytest.mark.parametrize("type_str", ["A3", "B3", "C3", "G2"])
 def test_decompose_demazure_matches_decomposition_of_w(type_str):
-    # For I inside D_L(w) decompose_demazure straightens ch_d; for any other
-    # I it hands ch_w to decompose_levi, which refuses it unless W_I fixes it.
+    # decompose_demazure straightens the character at w_0(I)(w(lam)) for any
+    # I.  It must refuse exactly where decompose_levi refuses the character
+    # of w, name the same s_i, and otherwise give the same entries.
     spec = spec_of(type_str)
     nodes = range(1, spec.rank + 1)
     for lam in [(1,) * spec.rank, (0,) * (spec.rank - 1) + (2,)]:
@@ -109,10 +110,44 @@ def test_decompose_demazure_matches_decomposition_of_w(type_str):
                     try:
                         want = decompose_levi(spec, ch, levi)
                     except NotLeviCharacter as exc:
-                        with pytest.raises(NotLeviCharacter, match=re.escape(str(exc))):
+                        moved = re.search(r"not s_\d+-invariant", str(exc)).group()
+                        with pytest.raises(NotLeviCharacter, match=moved):
                             decompose_demazure(spec, lam, w, levi)
                     else:
                         assert decompose_demazure(spec, lam, w, levi) == want
+
+
+def test_decompose_demazure_never_expands_the_character_of_w(monkeypatch):
+    # I = {2} is not inside D_L(e) = {}, but the character at (1, 0) is
+    # s_2-invariant: it decomposes without the character of w.
+    a2 = spec_of("A2")
+    e = from_word(a2, [])
+    want = decompose_levi(a2, demazure_char(a2, (1, 0), e), (2,))
+
+    def refuse(*args):
+        raise AssertionError("the character of w was expanded")
+
+    monkeypatch.setattr(characters, "demazure_char", refuse)
+    monkeypatch.setattr(characters, "decompose_levi", refuse)
+    assert decompose_demazure(a2, (1, 0), e, (2,)) == want
+
+
+def test_e8_refusal_expands_no_character(capsys, monkeypatch):
+    # w = w0 s_8 carries rho to a point whose coordinate 8 is positive, so
+    # its character is not s_8-invariant: the refusal builds no character,
+    # even under a 1-term ceiling.
+    e8 = spec_of("E8")
+    word = longest_parabolic(e8, range(1, 9)).word + (8,)
+    w = from_word(e8, word)
+    assert len(reduced_word(e8, w)) == 119
+    rho = (1,) * 8
+    monkeypatch.setattr(characters, "DEFAULT_TERM_CEILING", 1)
+    with pytest.raises(NotLeviCharacter, match="not s_8-invariant"):
+        decompose_demazure(e8, rho, w, (8,))
+    argv = ["decompose", "--type", "E8", "--word", " ".join(map(str, word)),
+            "--weight", "1 1 1 1 1 1 1 1", "--levi", "8"]
+    assert main(argv) == 1
+    assert "not s_8-invariant" in capsys.readouterr().err
 
 
 def test_decompose_demazure_checks_dominance_first():
@@ -153,7 +188,8 @@ def test_decompose_command_straightens_the_character_of_d(capsys, monkeypatch):
 
 
 def test_decompose_command_outside_the_descents(capsys):
-    # I not inside D_L(w): the character of w is expanded and checked whole.
+    # I not inside D_L(w): decomposed where w(lam) is I-antidominant, and
+    # refused, naming the s_i, where it is not.
     assert main(["decompose", "--type", "A2", "--word", "", "--weight", "1 0",
                  "--levi", "2"]) == 0
     assert json.loads(capsys.readouterr().out) == [{"mu": [1, 0], "mult": 1}]
