@@ -571,7 +571,7 @@ def _levi_straightener(
     {mu: mult} of _straighten; the smallest i in I with p_i > 0, where the
     character is not s_i-invariant, raises NotLeviCharacter.
     """
-    w_word = w.word
+    w_word = reduced_word(spec, w)
     w0i_word = _longest_parabolic(spec, subset).word
 
     def multiplicities(lam: Weight) -> dict[Weight, int]:

@@ -27,6 +27,7 @@ from .rootsys import CartanType, RootSystemSpec, validate_node_subset
 from .weyl import (
     WeylElement,
     _Layout,
+    _check_element,
     _layout,
     _longest_parabolic,
     is_standard_coxeter,
@@ -79,10 +80,15 @@ class ClassificationResult:
 
 
 def _check_descents(spec: RootSystemSpec, w: WeylElement, levi) -> tuple[int, ...]:
-    """The validated I; LeviNotInDescents unless it lies in the left descents of w."""
+    """The validated I; LeviNotInDescents unless it lies in the left descents of w.
+
+    ValueError unless w is an element of the Weyl group of spec.
+    """
+    _check_element(spec, w)
     subset = validate_node_subset(spec, levi)
-    # i is a left descent of w iff coordinate i of w(rho) is negative.
-    offending = [i for i in subset if w.rho_image[i - 1] >= 0]
+    lay = _layout(spec)
+    # i is a left descent of w iff the sign bit of node i is clear.
+    offending = lay.nodes(lay.mask(subset) & w.packed)
     if offending:
         raise LeviNotInDescents(offending, left_descents(spec, w))
     return subset
@@ -139,9 +145,7 @@ def classify(spec: RootSystemSpec, w: WeylElement, levi) -> ClassificationResult
     w_word = w.word
     w0i_word = _longest_parabolic(spec, subset).word
     lay = _layout(spec)
-    d_word = _split(
-        lay, lay.pack(w.rho_image), w_word, subset, w0i_word, lay.top, {lay.rho: ()}
-    )
+    d_word = _split(lay, w.packed, w_word, subset, w0i_word, lay.top, {lay.rho: ()})
     support_d = tuple(sorted(set(d_word)))
     return ClassificationResult(
         cartan_type=spec.cartan_type,

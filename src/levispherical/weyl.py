@@ -1,6 +1,6 @@
 """Exact Weyl-group arithmetic on the orbit of rho.
 
-A group element w is represented by the integer vector w(rho) in
+A group element w is identified by the integer vector w(rho) in
 fundamental-weight coordinates.  rho = (1, ..., 1) is regular, so w is
 determined by w(rho), and three facts carry all the word machinery
 (Casselman, "Machine calculations in Weyl groups", 1994; the numbers game
@@ -12,12 +12,10 @@ of Bjorner-Brenti, "Combinatorics of Coxeter Groups", ch. 4):
 
 One chamber walk reflects a weight in place by the smallest node of a set
 whose coordinate is negative, until none is.  Over every node it strips the
-canonical reduced word of w from w(rho), smallest left descent first, and
-spells the shortest word carrying a dominant lambda to a point of its
-orbit; over I it spells w_0(I) from -rho and straightens mu + rho for the
-characters module.  A word acts on a weight letter by letter from its right
-end, which gives evaluation of words, products and inverses; no matrix is
-multiplied.
+canonical reduced word of w from w(rho), smallest left descent first; over
+I it spells w_0(I) from -rho.  A word acts on a weight letter by letter
+from its right end, which gives evaluation of words, products and
+inverses; no matrix is multiplied.
 
 Group enumeration is breadth-first over left multiplication, which visits
 elements layer by layer in length order; each layer is emitted in
@@ -25,8 +23,8 @@ lexicographic w(rho) order so the stream is deterministic.  Every element
 is reached once, from its canonical parent s_m w (m its smallest left
 descent), so its canonical word is the parent's with m prepended.
 
-The enumeration, the census and the sphericality kernel keep w(rho) packed
-into one int (_layout).  Each coordinate of w(rho) is <rho, beta^vee> for a
+A group element stores w(rho) packed into one int (_Layout, one per root
+system from _layout).  Each coordinate of w(rho) is <rho, beta^vee> for a
 coroot beta^vee, plus or minus its height, so its absolute value is at most
 H = h - 1, h = 2|Phi+|/rank the Coxeter number.  Each coordinate gets a
 field of bits = H.bit_length() + 1 bits and is stored plus the bias
@@ -39,8 +37,9 @@ the top field.  Then
 * s_j is one subtraction, P - (field_j - B) * A_j, with A_j the packed
   alpha_j in weight coordinates, unbiased.
 E6 packs into 30 bits, E7 into 42, E8 into 48 and B50 into 400.  The
-packing holds only weights of the orbit of rho; apply_word and the list
-walk serve every other weight.
+packing holds only the orbit of rho.  Weights are tuples: apply_word and
+the list walk (_walk, _word) act on them, for the characters module, in
+the same way.
 """
 
 from __future__ import annotations
@@ -72,48 +71,57 @@ class CapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl-group element, identified by w(rho) in weight coordinates.
+    """A Weyl-group element, identified by w(rho).
 
-    known_word, if given, must be the canonical reduced word of the element
-    (group enumeration passes it); it takes no part in equality or hashing.
+    packed is w(rho) packed by _layout(spec) (module docstring); rho_image
+    is w(rho) in weight coordinates, unpacked from it.  Equality and hashing
+    go by (spec, w(rho)).  Build elements through identity, from_word,
+    simple_reflection, multiply, inverse, longest_parabolic and
+    enumerate_group, not from a packed int.  known_word, if given, must be
+    the canonical reduced word of the element (group enumeration and
+    longest_parabolic pass it); it takes no part in equality or hashing.
     """
 
     spec: RootSystemSpec
-    rho_image: Weight
+    packed: int
     known_word: Optional[tuple[int, ...]] = field(default=None, compare=False)
 
     def __repr__(self) -> str:
         return f"WeylElement({self.spec.cartan_type}, {self.rho_image!r})"
 
     @property
+    def rho_image(self) -> Weight:
+        return _layout(self.spec).unpack(self.packed)
+
+    @property
     def word(self) -> tuple[int, ...]:
         """Canonical reduced word: known_word, or else stripped from w(rho)."""
-        word = self.known_word
-        return _word(self.spec, self.rho_image) if word is None else word
+        if self.known_word is not None:
+            return self.known_word
+        lay = _layout(self.spec)
+        return lay.walk(self.packed, lay.top)[0]
 
 
-def _reflect(spec: RootSystemSpec, out: list[int], word: Sequence[int]) -> None:
-    """Apply s_{i1} s_{i2} ... s_{ik} to the weight out in place, right end first.
-
-    Letters are 1-based and not checked here.
-    """
-    bonds = spec.weight_bonds
-    for i in reversed(word):
-        j = i - 1
-        k = out[j]
-        out[j] = -k
-        for b, a in bonds[j]:
-            out[b] -= k * a
+def _check_element(spec: RootSystemSpec, w: WeylElement) -> None:
+    """ValueError unless w is an element of the Weyl group of spec."""
+    if not (isinstance(w, WeylElement) and w.spec is spec):
+        raise ValueError(f"{w!r} is not in the Weyl group of {spec.cartan_type}")
 
 
 def apply_word(spec: RootSystemSpec, word: Iterable[int], wt: Weight) -> Weight:
     """s_{i1} s_{i2} ... s_{ik} (wt): the right end of the word acts first.
 
     Letters are 1-based and not checked here.  The reflections update one
-    list in place (_reflect); the only tuple built is the result.
+    list in place; the only tuple built is the result.
     """
+    bonds = spec.weight_bonds
     out = list(wt)
-    _reflect(spec, out, tuple(word))
+    for i in reversed(tuple(word)):
+        j = i - 1
+        k = out[j]
+        out[j] = -k
+        for b, a in bonds[j]:
+            out[b] -= k * a
     return tuple(out)
 
 
@@ -146,12 +154,11 @@ def _walk(spec: RootSystemSpec, out: list[int], active) -> list[int]:
 
 
 def _word(spec: RootSystemSpec, wt: Weight) -> tuple[int, ...]:
-    """Canonical reduced word of the w with w(rho) = wt: the walk over all nodes."""
+    """The letters of the walk of wt over all nodes, to the dominant chamber.
+
+    For wt = w(rho) they are the canonical reduced word of w.
+    """
     return tuple(_walk(spec, list(wt), (True,) * len(wt)))
-
-
-def _rho(spec: RootSystemSpec) -> Weight:
-    return (1,) * spec.rank
 
 
 class _Layout:
@@ -165,22 +172,17 @@ class _Layout:
         n = spec.rank
         self.height = 2 * len(spec.positive_roots) // n - 1  # H = h - 1
         self.bits = bits = self.height.bit_length() + 1
-        self.bias = bias = 1 << (bits - 1)
+        self.bias = 1 << (bits - 1)
         self.field = (1 << bits) - 1
         # Node i takes the field at shift (n - i) * bits.  A mask whose
         # highest bit is the sign bit of node i has bit_length shift + bits,
         # and step maps that bit_length to node i.
         self.shifts = shifts = tuple((n - i) * bits for i in range(1, n + 1))
-        alphas = [
-            sum(c << s for c, s in zip(row, shifts)) for row in spec.cartan_matrix
-        ]
-        self.reflection = {i: (shifts[i - 1], alphas[i - 1]) for i in range(1, n + 1)}
-        self.step = {
-            shifts[i - 1] + bits: (i, shifts[i - 1], alphas[i - 1])
-            for i in range(1, n + 1)
-        }
+        alphas = [sum(map(lshift, row, shifts)) for row in spec.cartan_matrix]
+        self.reflection = dict(enumerate(zip(shifts, alphas), 1))
+        self.step = {s + bits: (i, s, a) for i, (s, a) in self.reflection.items()}
         self.top = self.mask(range(1, n + 1))
-        self.rho = self.pack(_rho(spec))
+        self.rho = self.pack((1,) * n)
 
     def pack(self, wt: Weight) -> int:
         """wt packed; ValueError unless it has rank coordinates in -H..H."""
@@ -202,11 +204,17 @@ class _Layout:
         return sum(self.bias << self.shifts[i - 1] for i in nodes)
 
     def nodes(self, mask: int) -> tuple[int, ...]:
-        """The nodes whose sign bit is set in mask, in increasing order."""
-        top = self.bits - 1
-        return tuple(
-            i for i, s in enumerate(self.shifts, 1) if mask >> (s + top) & 1
-        )
+        """The nodes whose sign bits mask holds, in increasing order.
+
+        mask holds sign bits only.  The highest set bit is the smallest
+        node, so each step reads one node from bit_length().
+        """
+        nodes = []
+        while mask:
+            i, s, _ = self.step[mask.bit_length()]
+            nodes.append(i)
+            mask -= self.bias << s
+        return tuple(nodes)
 
     def apply(self, word: Sequence[int], p: int) -> int:
         """s_{i1} ... s_{ik} applied to the packed weight p, right end first."""
@@ -225,12 +233,10 @@ class _Layout:
         """
         step, field, bias = self.step, self.field, self.bias
         letters = []
-        neg = head & ~p
-        while neg:
+        while neg := head & ~p:
             i, s, a = step[neg.bit_length()]
             letters.append(i)
             p -= (((p >> s) & field) - bias) * a
-            neg = head & ~p
         return tuple(letters), p
 
 
@@ -241,69 +247,72 @@ def _layout(spec: RootSystemSpec) -> _Layout:
 
 
 def identity(spec: RootSystemSpec) -> WeylElement:
-    return WeylElement(spec, _rho(spec))
+    return from_word(spec, ())
 
 
 def simple_reflection(spec: RootSystemSpec, i: int) -> WeylElement:
     if not (is_int(i) and 1 <= i <= spec.rank):
         raise WordLetterError(f"generator index {i} out of range 1..{spec.rank}")
-    return WeylElement(spec, apply_word(spec, (i,), _rho(spec)))
+    return from_word(spec, (i,))
 
 
 def from_word(spec: RootSystemSpec, word: Iterable[int]) -> WeylElement:
     """Evaluate a word in the generators, s_{i1} s_{i2} ... s_{ik}."""
     word = tuple(word)
-    # One pass over plain ints; any other letter goes to the per-letter loop,
-    # which names the first bad one (an int subclass other than bool passes).
-    if word and not (
-        set(map(type, word)) <= {int}
-        and 1 <= min(word)
-        and max(word) <= spec.rank
-    ):
+    lay = _layout(spec)
+    # One pass over plain ints in 1..rank, the keys of lay.reflection; any
+    # other letter goes to the per-letter loop, which names the first bad one
+    # (an int subclass other than bool passes).
+    if not (set(map(type, word)) <= {int} and lay.reflection.keys() >= set(word)):
         for pos, letter in enumerate(word, 1):
             if not (is_int(letter) and 1 <= letter <= spec.rank):
                 raise WordLetterError(
                     f"letter {letter!r} at position {pos} out of range 1..{spec.rank}"
                 )
-    return WeylElement(spec, apply_word(spec, word, _rho(spec)))
+    return WeylElement(spec, lay.apply(word, lay.rho))
 
 
 def multiply(spec: RootSystemSpec, u: WeylElement, v: WeylElement) -> WeylElement:
     """The product uv: the word of u acting on v(rho)."""
-    return WeylElement(spec, apply_word(spec, u.word, v.rho_image))
+    _check_element(spec, v)
+    return WeylElement(spec, _layout(spec).apply(reduced_word(spec, u), v.packed))
 
 
 def inverse(spec: RootSystemSpec, w: WeylElement) -> WeylElement:
     """w^{-1}: the reversed word of w acting on rho."""
-    return WeylElement(spec, apply_word(spec, w.word[::-1], _rho(spec)))
+    return from_word(spec, reduced_word(spec, w)[::-1])
 
 
 def length(spec: RootSystemSpec, w: WeylElement) -> int:
     """Coxeter length, as the length of the canonical reduced word."""
-    return len(w.word)
+    return len(reduced_word(spec, w))
 
 
 def reduced_word(spec: RootSystemSpec, w: WeylElement) -> tuple[int, ...]:
     """Canonical reduced word: repeatedly strip the smallest left descent."""
+    _check_element(spec, w)
     return w.word
 
 
 def support(spec: RootSystemSpec, w: WeylElement) -> frozenset[int]:
     """Generators occurring in a reduced word (independent of the word)."""
-    return frozenset(w.word)
+    return frozenset(reduced_word(spec, w))
 
 
 def left_descents(spec: RootSystemSpec, w: WeylElement) -> frozenset[int]:
-    """{i : length(s_i w) < length(w)}: the negative coordinates of w(rho)."""
-    return frozenset(j + 1 for j, c in enumerate(w.rho_image) if c < 0)
+    """{i : length(s_i w) < length(w)}: the clear sign bits of w(rho)."""
+    _check_element(spec, w)
+    lay = _layout(spec)
+    return frozenset(lay.nodes(lay.top & ~w.packed))
 
 
 @lru_cache(maxsize=None)
 def _longest_parabolic(spec: RootSystemSpec, subset: tuple[int, ...]) -> WeylElement:
     # Keyed by (spec, validated subset): at most 2**rank entries per type.
-    out = [-1] * spec.rank
-    word = tuple(_walk(spec, out, [j + 1 in subset for j in range(spec.rank)]))
-    return WeylElement(spec, tuple(-x for x in out), word)
+    # 2 * top - p packs the negative of the weight that p packs.
+    lay = _layout(spec)
+    word, p = lay.walk(2 * lay.top - lay.rho, lay.mask(subset))
+    return WeylElement(spec, 2 * lay.top - p, word)
 
 
 def longest_parabolic(spec: RootSystemSpec, nodes) -> WeylElement:
@@ -324,7 +333,7 @@ def is_standard_coxeter(spec: RootSystemSpec, d: WeylElement) -> bool:
     Equivalent test: length(d) == |support(d)|.  The identity passes with
     0 == 0; a standard Coxeter element of full support has length = rank.
     """
-    word = d.word
+    word = reduced_word(spec, d)
     return len(word) == len(set(word))
 
 
@@ -365,17 +374,15 @@ def enumerate_group(
 
     Within a length layer, elements come in increasing lexicographic order
     of w(rho), so the stream is deterministic.  Each element carries its
-    canonical reduced word, so no word is stripped.  The elements wrap the
-    (w(rho), word) pairs of _elements, which holds only the current and the
-    next layer, each word as bytes, one byte per letter.  A cap that is not
-    an int (bool included) or is below 1 is bad input and raises
-    ValueError, as in census.start_census.  Raises CapExceeded, before the
-    first element, when the order of the group (classical_group_order)
-    passes cap; nothing is silently truncated.
+    canonical reduced word, so no word is stripped.  _elements holds only
+    the current and the next layer, each word as bytes, one byte per
+    letter.  A cap that is not an int (bool included) or is below 1 is bad
+    input and raises ValueError, as in census.start_census.  Raises
+    CapExceeded, before the first element, when the order of the group
+    (classical_group_order) passes cap; nothing is silently truncated.
     """
-    unpack = _layout(spec).unpack
     for p, word in _elements(spec, cap):
-        yield WeylElement(spec, unpack(p), word)
+        yield WeylElement(spec, p, word)
 
 
 def _elements(
@@ -383,10 +390,9 @@ def _elements(
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The (packed w(rho), canonical word) pairs of enumerate_group, in its order.
 
-    The census reads these raw pairs and builds no WeylElement; _layout
-    unpacks w(rho).  The checks are enumerate_group's: ValueError for a bad
-    cap and CapExceeded, both at the first next(), and the final count
-    against classical_group_order.
+    The census reads these raw pairs and builds no WeylElement.  The checks
+    are enumerate_group's: ValueError for a bad cap and CapExceeded, both at
+    the first next(), and the final count against classical_group_order.
     """
     if not (is_int(cap) and cap >= 1):
         raise ValueError(f"enumeration cap {cap!r} is not a positive integer")
@@ -408,8 +414,7 @@ def _elements(
         for j in range(1, n + 1):
             if j > m and m - 1 not in dict(bonds[j - 1]):
                 continue
-            guard = lay.mask(range(m, j)) if j > m else 0
-            row.append((*lay.reflection[j], bytes((j,)), guard))
+            row.append((*lay.reflection[j], bytes((j,)), lay.mask(range(m, j))))
         candidates.append(tuple(row))
     layer = [(lay.rho, b"")]
     count = 1

@@ -12,14 +12,22 @@ from levispherical import (
     WordLetterError,
     census_records,
     classify,
+    classify_toric,
     cross_check,
+    decompose_demazure,
     demazure_char,
     demazure_op,
     from_word,
+    inverse,
     is_multiplicity_free,
+    is_standard_coxeter,
+    left_descents,
+    length,
     levi_irreducible_char,
+    multiply,
     reduced_word,
     start_census,
+    support,
     witness_search,
 )
 import levispherical
@@ -32,6 +40,50 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "target, call",
+    [
+        pytest.param("B2", lambda s, a: multiply(s, a, a), id="multiply"),
+        pytest.param(
+            "B2", lambda s, a: multiply(s, from_word(s, [1]), a), id="multiply-right"
+        ),
+        pytest.param("B2", inverse, id="inverse"),
+        pytest.param("B2", length, id="length"),
+        pytest.param("B2", reduced_word, id="reduced_word"),
+        pytest.param("B2", support, id="support"),
+        pytest.param("B2", left_descents, id="left_descents"),
+        pytest.param("B2", is_standard_coxeter, id="is_standard_coxeter"),
+        pytest.param("G2", lambda s, a: classify(s, a, [1]), id="classify-G2"),
+        pytest.param("A3", lambda s, a: classify(s, a, [1]), id="classify-A3"),
+        pytest.param("B2", lambda s, a: classify(s, a, []), id="classify-B2"),
+        pytest.param("B2", classify_toric, id="classify_toric"),
+        pytest.param(
+            "B2", lambda s, a: demazure_char(s, (1, 1), a), id="demazure_char"
+        ),
+        pytest.param(
+            "B2",
+            lambda s, a: decompose_demazure(s, (1, 1), a, [1]),
+            id="decompose_demazure",
+        ),
+        pytest.param(
+            "B2",
+            lambda s, a: is_multiplicity_free(s, (1, 1), a, [1]),
+            id="is_multiplicity_free",
+        ),
+        pytest.param(
+            "B2", lambda s, a: witness_search(s, a, [1]), id="witness_search"
+        ),
+    ],
+)
+def test_an_element_of_another_root_system_is_refused(target, call):
+    # w0 of A2; every one of these calls once answered for it, or raised an
+    # internal fault, on another root system.
+    a = from_word(spec_of("A2"), [1, 2, 1])
+    refusal = r"WeylElement\(A2, \(-1, -1\)\) is not in the Weyl group of"
+    with pytest.raises(ValueError, match=refusal):
+        call(spec_of(target), a)
 
 
 def test_census_cap_refusal_keeps_out_file(capsys, tmp_path):

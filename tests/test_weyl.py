@@ -1,5 +1,6 @@
 import enum
 import itertools
+import random
 import re
 import time
 import tracemalloc
@@ -407,3 +408,39 @@ def test_apply_word_matches_one_reflection_at_a_time(type_str, rng):
         wt = tuple(rng.randint(-4, 4) for _ in range(spec.rank))
         assert weyl.apply_word(spec, word, wt) == reference(word, wt)
         assert weyl.apply_word(spec, iter(word), wt) == reference(word, wt)
+
+
+@pytest.mark.parametrize("type_str", ["B3", "D4", "F4", "E6"])
+def test_packed_element_paths_match_the_list_walk(type_str):
+    # Every element of B3, D4 and F4 and a seeded sample of E6, against
+    # apply_word and the list walk, which act on w(rho) as a tuple.
+    spec = spec_of(type_str)
+    elements = list(enumerate_group(spec))
+    if len(elements) > 2000:
+        elements = random.Random(6).sample(elements, 2000)
+    rho = (1,) * spec.rank
+    for w, v in zip(elements, elements[1:] + elements[:1]):
+        bare = weyl.WeylElement(spec, w.packed)
+        assert bare.known_word is None
+        assert bare == w and bare.rho_image == w.rho_image
+        assert bare.word == weyl._word(spec, w.rho_image) == w.known_word
+        negative = {i for i, c in enumerate(w.rho_image, 1) if c < 0}
+        assert left_descents(spec, bare) == negative
+        assert from_word(spec, w.word) == w
+        uv = multiply(spec, w, v)
+        assert uv.rho_image == weyl.apply_word(spec, w.word, v.rho_image)
+        assert inverse(spec, bare).rho_image == weyl.apply_word(spec, w.word[::-1], rho)
+
+
+@pytest.mark.parametrize("type_str", ["E6", "E7", "E8"])
+def test_longest_parabolic_matches_the_list_walk_of_minus_rho(type_str):
+    # The walk of -rho over I spells w_0(I) and ends at -w_0(I)(rho).
+    spec = spec_of(type_str)
+    nodes = range(1, spec.rank + 1)
+    for size in range(spec.rank + 1):
+        for subset in itertools.combinations(nodes, size):
+            out = [-1] * spec.rank
+            word = weyl._walk(spec, out, [i in subset for i in nodes])
+            w0 = longest_parabolic(spec, subset)
+            assert w0.known_word == tuple(word)
+            assert w0.rho_image == tuple(-x for x in out)
