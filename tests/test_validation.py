@@ -78,8 +78,8 @@ def run_cli(capsys, *argv):
     ],
 )
 def test_an_element_of_another_root_system_is_refused(target, call):
-    # w0 of A2; every one of these calls once answered for it, or raised an
-    # internal fault, on another root system.
+    # w0 of A2, handed to a function of another root system: each must
+    # refuse it, not answer for it or report an internal fault.
     a = from_word(spec_of("A2"), [1, 2, 1])
     refusal = r"WeylElement\(A2, \(-1, -1\)\) is not in the Weyl group of"
     with pytest.raises(ValueError, match=refusal):
