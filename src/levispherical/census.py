@@ -38,7 +38,7 @@ from .weyl import (
     DEFAULT_ENUM_CAP,
     _elements,
     _layout,
-    _longest_parabolic,
+    _w0_word,
     capped_group_order,
     classical_group_order,
     from_word,
@@ -246,11 +246,12 @@ def _census_rows(
     The refusal, the counting and the sink writes are all here; fill_census
     drains this stream and builds no record.  The census reads the raw
     (packed w(rho), word) pairs of weyl._elements and builds no WeylElement.
-    The words of w and w_0(I) are never stripped, and that of d only over
-    its leading nodes: the kernel that classify uses walks d(rho) over
-    J = {1..k}, k = max(rank - 3, 0), to the element z without left descents
-    in J, and takes the rest of the word from a table of those z, keyed by
-    the packed z(rho) and filled as they stream by.  z is no longer than d,
+    The word of w comes with its pair and that of w_0(I) from weyl._w0_word,
+    so neither is stripped, and that of d is stripped only over its leading
+    nodes: the kernel that classify uses walks d(rho) over J = {1..k},
+    k = max(rank - 3, 0), to the element z without left descents in J, and
+    takes the rest of the word from a table of those z, keyed by the packed
+    z(rho) and filled as they stream by.  z is no longer than d,
     so it comes before w or is w itself (I empty).  The table holds |W| /
     |W_J| words: 4,320 on E6, 24,192 on E7.  Every pair keeps the
     length-additivity check; the subsets come from the negative coordinates
@@ -286,7 +287,7 @@ def _census_rows(
             size = 1 << len(descents)
             for mask in (size - 1,) if full else range(size):
                 subset = tuple(d for b, d in enumerate(descents) if mask >> b & 1)
-                w0i_word = _longest_parabolic(spec, subset).word
+                w0i_word = _w0_word(spec, subset)
                 subsets.append((subset, ", ".join(map(text, subset)), w0i_word))
         per = by_length.get(length)
         if per is None:

@@ -78,7 +78,7 @@ from .rootsys import (
 from .sphericality import _check_descents
 from .weyl import (
     WeylElement,
-    _longest_parabolic,
+    _w0_word,
     _walk,
     _word,
     apply_word,
@@ -359,7 +359,7 @@ def levi_irreducible_char(spec: RootSystemSpec, mu, levi) -> WeightPoly:
         raise NonDominantWeight(
             f"weight {mu} is not dominant for levi nodes {list(subset)}"
         )
-    terms = _char_along_word(spec, mu, _longest_parabolic(spec, subset).word)
+    terms = _char_along_word(spec, mu, _w0_word(spec, subset))
     if terms.get(mu) != 1:
         raise RuntimeError(
             f"levi character of {mu} over {list(subset)} has top "
@@ -572,7 +572,7 @@ def _levi_straightener(
     character is not s_i-invariant, raises NotLeviCharacter.
     """
     w_word = reduced_word(spec, w)
-    w0i_word = _longest_parabolic(spec, subset).word
+    w0i_word = _w0_word(spec, subset)
 
     def multiplicities(lam: Weight) -> dict[Weight, int]:
         point = apply_word(spec, w_word, lam)
@@ -661,13 +661,17 @@ def witness_search(
     weights and skips a lam whose character passes DEFAULT_TERM_CEILING.
     Exhausting the budget returns None, which is inconclusive: it is NOT a
     certificate of multiplicity-freeness.  A coeff_cap that is not an int
-    (bool included) is rejected with ValueError, and so is a negative one,
-    which would try nothing.
+    (bool included) is rejected with ValueError, and so is one below 1,
+    which would try nothing: a cap of 0 holds only lam = 0.
     """
     if not is_int(coeff_cap):
         raise ValueError(f"witness coefficient cap {coeff_cap!r} is not an integer")
     if coeff_cap < 0:
         raise ValueError(f"witness coefficient cap {coeff_cap} is negative")
+    if coeff_cap == 0:
+        raise ValueError(
+            "witness coefficient cap 0 holds only lambda = 0, never a witness"
+        )
     multiplicities = _levi_straightener(spec, w, _check_descents(spec, w, levi))
     weights = _dominant_weights_graded(spec.rank, coeff_cap, DEFAULT_LAMBDA_BUDGET)
     for lam in islice(weights, 1, None):

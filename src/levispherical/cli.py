@@ -8,8 +8,10 @@ the stream at that record, with no summary.  Diagnostics go to stderr only.
 --pretty switches to a human-readable rendering.
 
 Words and node subsets are whitespace- or comma-separated 1-based indices
-("3 2 3 4 2 1 2" or "2,3"; an empty field, as in "2,,3", is an error);
-weights are coordinate vectors in the fundamental-weight basis.
+("3 2 3 4 2 1 2" or "2,3"); weights are coordinate vectors in the
+fundamental-weight basis, written the same way.  Each field is an ASCII
+decimal integer with an optional sign; anything else, such as an empty
+field ("2,,3"), an underscore ("1_0") or a non-ASCII digit, is an error.
 
 Exit codes: 0 success, 1 domain error (bad type, letter out of range, levi
 set not inside the descent set, non-dominant weight, an --out file that
@@ -58,14 +60,18 @@ from .weyl import (
 )
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_indices(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    try:
-        return tuple(int(p) for p in re.split(r"\s*,\s*|\s+", text))
-    except ValueError:
+    fields = re.split(r"\s*,\s*|\s+", text)
+    # int() alone would also read "1_0" as 10 and non-ASCII digits.
+    if not all(map(_INTEGER.fullmatch, fields)):
         raise ValueError(f"cannot parse index list from {text!r}")
+    return tuple(map(int, fields))
 
 
 def _parse_weight(spec: RootSystemSpec, text: str) -> tuple[int, ...]:

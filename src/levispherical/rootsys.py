@@ -251,8 +251,14 @@ def node_index(spec: RootSystemSpec, i) -> int:
 
 
 def validate_node_subset(spec: RootSystemSpec, nodes) -> tuple[int, ...]:
-    """Sorted, deduplicated node tuple; rejects indices outside 1..rank."""
-    nodes = list(nodes)
+    """Sorted, deduplicated node tuple; rejects indices outside 1..rank.
+
+    ValueError, naming the input, also for a node set that is not iterable.
+    """
+    try:
+        nodes = list(nodes)
+    except TypeError:
+        raise ValueError(f"node set {nodes!r} is not a collection of indices") from None
     bad = [i for i in nodes if not (is_int(i) and 1 <= i <= spec.rank)]
     if bad:
         raise ValueError(

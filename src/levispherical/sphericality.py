@@ -29,7 +29,7 @@ from .weyl import (
     _Layout,
     _check_element,
     _layout,
-    _longest_parabolic,
+    _w0_word,
     is_standard_coxeter,
     left_descents,
 )
@@ -107,8 +107,8 @@ def _split(
 
     rho_image is w(rho) packed by lay, the weyl._layout of the root system;
     subset is a validated I inside the left descent set of w, and w0i_word
-    the word that the memoised w_0(I) carries from the chamber walk that
-    built it, so it is never stripped.  head holds the sign bits of an
+    the canonical word of w_0(I) from weyl._w0_word, the walk of -rho over
+    I, so no w_0(I) is built or stripped.  head holds the sign bits of an
     initial segment J = {1..k} of the nodes.  d factors as y z with y in
     W_J and z without left descents in J, lengths adding (Bjorner-Brenti,
     Prop. 2.4.4); every node of J is smaller than every other, so the
@@ -143,7 +143,7 @@ def classify(spec: RootSystemSpec, w: WeylElement, levi) -> ClassificationResult
     """
     subset = _check_descents(spec, w, levi)
     w_word = w.word
-    w0i_word = _longest_parabolic(spec, subset).word
+    w0i_word = _w0_word(spec, subset)
     lay = _layout(spec)
     d_word = _split(lay, w.packed, w_word, subset, w0i_word, lay.top, {lay.rho: ()})
     support_d = tuple(sorted(set(d_word)))

@@ -37,18 +37,20 @@ the top field.  Then
 * s_j is one subtraction, P - (field_j - B) * A_j, with A_j the packed
   alpha_j in weight coordinates, unbiased.
 E6 packs into 30 bits, E7 into 42, E8 into 48 and B50 into 400.  The
-packing holds only the orbit of rho.  Weights are tuples: apply_word and
-the list walk (_walk, _word) act on them, for the characters module, in
-the same way.
+packing holds only the orbit of rho, so a WeylElement is built only here,
+by _element, from a word applied to rho or from the enumeration; it holds
+the packed int alone, and its word is stripped from it when read.  Weights
+are tuples: apply_word and the list walk (_walk, _word) act on them, for
+the characters module, in the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import lshift
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .rootsys import (
     RootSystemSpec,
@@ -62,29 +64,27 @@ Weight = tuple[int, ...]
 
 
 class WordLetterError(ValueError):
-    """A word letter outside 1..rank, reported with its position."""
+    """A word letter outside 1..rank, named with its position, or no word at all."""
 
 
 class CapExceeded(RuntimeError):
     """Group enumeration aborted: the group has more elements than the cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeylElement:
     """A Weyl-group element, identified by w(rho).
 
     packed is w(rho) packed by _layout(spec) (module docstring); rho_image
-    is w(rho) in weight coordinates, unpacked from it.  Equality and hashing
-    go by (spec, w(rho)).  Build elements through identity, from_word,
-    simple_reflection, multiply, inverse, longest_parabolic and
-    enumerate_group, not from a packed int.  known_word, if given, must be
-    the canonical reduced word of the element (group enumeration and
-    longest_parabolic pass it); it takes no part in equality or hashing.
+    is w(rho) in weight coordinates and word the canonical reduced word,
+    both read from it.  Equality and hashing go by (spec, w(rho)).  There
+    is no public constructor: identity, from_word, simple_reflection,
+    multiply, inverse, longest_parabolic and enumerate_group build elements,
+    through _element.
     """
 
     spec: RootSystemSpec
     packed: int
-    known_word: Optional[tuple[int, ...]] = field(default=None, compare=False)
 
     def __repr__(self) -> str:
         return f"WeylElement({self.spec.cartan_type}, {self.rho_image!r})"
@@ -95,11 +95,17 @@ class WeylElement:
 
     @property
     def word(self) -> tuple[int, ...]:
-        """Canonical reduced word: known_word, or else stripped from w(rho)."""
-        if self.known_word is not None:
-            return self.known_word
+        """Canonical reduced word, stripped from w(rho)."""
         lay = _layout(self.spec)
         return lay.walk(self.packed, lay.top)[0]
+
+
+def _element(spec: RootSystemSpec, packed: int) -> WeylElement:
+    """The element whose packed w(rho) is packed, an int of the orbit of rho."""
+    w = object.__new__(WeylElement)
+    object.__setattr__(w, "spec", spec)
+    object.__setattr__(w, "packed", packed)
+    return w
 
 
 def _check_element(spec: RootSystemSpec, w: WeylElement) -> None:
@@ -181,19 +187,10 @@ class _Layout:
         alphas = [sum(map(lshift, row, shifts)) for row in spec.cartan_matrix]
         self.reflection = dict(enumerate(zip(shifts, alphas), 1))
         self.step = {s + bits: (i, s, a) for i, (s, a) in self.reflection.items()}
+        # top is the packed zero weight, the bias in every field; rho adds
+        # 1 to each.
         self.top = self.mask(range(1, n + 1))
-        self.rho = self.pack((1,) * n)
-
-    def pack(self, wt: Weight) -> int:
-        """wt packed; ValueError unless it has rank coordinates in -H..H."""
-        shifts = self.shifts
-        if len(wt) != len(shifts) or max(map(abs, wt)) > self.height:
-            raise ValueError(
-                f"weight {wt} is not {len(shifts)} coordinates within the bound "
-                f"{self.height} of every w(rho)"
-            )
-        # top is the packed zero weight: the bias in every field.
-        return self.top + sum(map(lshift, wt, shifts))
+        self.rho = self.top + sum(1 << s for s in shifts)
 
     def unpack(self, p: int) -> Weight:
         field, bias = self.field, self.bias
@@ -258,7 +255,10 @@ def simple_reflection(spec: RootSystemSpec, i: int) -> WeylElement:
 
 def from_word(spec: RootSystemSpec, word: Iterable[int]) -> WeylElement:
     """Evaluate a word in the generators, s_{i1} s_{i2} ... s_{ik}."""
-    word = tuple(word)
+    try:
+        word = tuple(word)
+    except TypeError:
+        raise WordLetterError(f"word {word!r} is not a sequence of letters") from None
     lay = _layout(spec)
     # One pass over plain ints in 1..rank, the keys of lay.reflection; any
     # other letter goes to the per-letter loop, which names the first bad one
@@ -269,13 +269,13 @@ def from_word(spec: RootSystemSpec, word: Iterable[int]) -> WeylElement:
                 raise WordLetterError(
                     f"letter {letter!r} at position {pos} out of range 1..{spec.rank}"
                 )
-    return WeylElement(spec, lay.apply(word, lay.rho))
+    return _element(spec, lay.apply(word, lay.rho))
 
 
 def multiply(spec: RootSystemSpec, u: WeylElement, v: WeylElement) -> WeylElement:
     """The product uv: the word of u acting on v(rho)."""
     _check_element(spec, v)
-    return WeylElement(spec, _layout(spec).apply(reduced_word(spec, u), v.packed))
+    return _element(spec, _layout(spec).apply(reduced_word(spec, u), v.packed))
 
 
 def inverse(spec: RootSystemSpec, w: WeylElement) -> WeylElement:
@@ -307,24 +307,27 @@ def left_descents(spec: RootSystemSpec, w: WeylElement) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def _longest_parabolic(spec: RootSystemSpec, subset: tuple[int, ...]) -> WeylElement:
-    # Keyed by (spec, validated subset): at most 2**rank entries per type.
-    # 2 * top - p packs the negative of the weight that p packs.
-    lay = _layout(spec)
-    word, p = lay.walk(2 * lay.top - lay.rho, lay.mask(subset))
-    return WeylElement(spec, 2 * lay.top - p, word)
-
-
-def longest_parabolic(spec: RootSystemSpec, nodes) -> WeylElement:
-    """The longest element w_0(I) of the standard parabolic subgroup W_I.
+def _w0_word(spec: RootSystemSpec, subset: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical word of w_0(I), for a validated I: the walk of -rho over I.
 
     w_0(I) takes -rho into the I-dominant chamber, so the walk of -rho over I
     ends at -w_0(I)(rho).  The I-coordinates of -rho and of w_0(I)(rho) are
     all -1, the walk reads only those, and the strip of w_0(I)(rho) never
     meets a negative coordinate outside I; so the walk's letters are the
-    canonical word of w_0(I), which the element carries and never strips.
+    canonical word of w_0(I), and no element is built or stripped.  Keyed
+    by (spec, subset): at most 2**rank entries per type.
     """
-    return _longest_parabolic(spec, validate_node_subset(spec, nodes))
+    lay = _layout(spec)
+    # 2 * top - p packs the negative of the weight that p packs.
+    return lay.walk(2 * lay.top - lay.rho, lay.mask(subset))[0]
+
+
+def longest_parabolic(spec: RootSystemSpec, nodes) -> WeylElement:
+    """The longest element w_0(I) of the standard parabolic subgroup W_I.
+
+    The element of the memoised word _w0_word; each call builds a new one.
+    """
+    return from_word(spec, _w0_word(spec, validate_node_subset(spec, nodes)))
 
 
 def is_standard_coxeter(spec: RootSystemSpec, d: WeylElement) -> bool:
@@ -373,24 +376,26 @@ def enumerate_group(
     """Every group element exactly once, in nondecreasing length order.
 
     Within a length layer, elements come in increasing lexicographic order
-    of w(rho), so the stream is deterministic.  Each element carries its
-    canonical reduced word, so no word is stripped.  _elements holds only
-    the current and the next layer, each word as bytes, one byte per
-    letter.  A cap that is not an int (bool included) or is below 1 is bad
-    input and raises ValueError, as in census.start_census.  Raises
-    CapExceeded, before the first element, when the order of the group
-    (classical_group_order) passes cap; nothing is silently truncated.
+    of w(rho), so the stream is deterministic.  Each element wraps the
+    packed w(rho) of _elements, which holds only the current and the next
+    layer, each word as bytes, one byte per letter; the word of an element
+    is stripped only when it is read.  A cap that is not an int (bool
+    included) or is below 1 is bad input and raises ValueError, as in
+    census.start_census.  Raises CapExceeded, before the first element,
+    when the order of the group (classical_group_order) passes cap; nothing
+    is silently truncated.
     """
-    for p, word in _elements(spec, cap):
-        yield WeylElement(spec, p, word)
+    for p, _ in _elements(spec, cap):
+        yield _element(spec, p)
 
 
 def _elements(
     spec: RootSystemSpec, cap: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The (packed w(rho), canonical word) pairs of enumerate_group, in its order.
+    """The (packed w(rho), canonical word) pairs in enumerate_group's order.
 
-    The census reads these raw pairs and builds no WeylElement.  The checks
+    enumerate_group keeps the packed ints; the census reads the raw pairs,
+    so it strips no word of w, and builds no WeylElement.  The checks
     are enumerate_group's: ValueError for a bad cap and CapExceeded, both at
     the first next(), and the final count against classical_group_order.
     """

@@ -321,7 +321,40 @@ def test_empty_index_field_is_a_domain_error(capsys, flag, value):
 
 
 @pytest.mark.parametrize(
-    "word, letters", [("1 2", [1, 2]), ("1,2", [1, 2]), ("1, 2", [1, 2]), ("", [])]
+    "argv, value",
+    [
+        pytest.param(
+            ["descents", "--type", "A50", "--word", "1_0"], "1_0", id="underscore"
+        ),
+        pytest.param(
+            ["descents", "--type", "A3", "--word", "٣"], "٣", id="arabic-indic"
+        ),
+        pytest.param(
+            ["descents", "--type", "A3", "--word", "１ 2"], "１ 2", id="fullwidth"
+        ),
+        pytest.param(
+            ["demazure", "--type", "A2", "--word", "1", "--weight", "1_0 0"],
+            "1_0 0",
+            id="weight",
+        ),
+        pytest.param(
+            ["classify", "--type", "A3", "--word", "1 2", "--levi", "٢"],
+            "٢",
+            id="levi",
+        ),
+    ],
+)
+def test_index_fields_are_ascii_decimal_integers(capsys, argv, value):
+    # int() alone reads "1_0" as 10 and the Arabic-Indic or fullwidth digits
+    # as 3, 1 and 2; each is a typo here, not another number.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot parse index list from {value!r}\n"
+
+
+@pytest.mark.parametrize(
+    "word, letters",
+    [("1 2", [1, 2]), ("1,2", [1, 2]), ("1, 2", [1, 2]), ("", []), ("+1 2", [1, 2])],
 )
 def test_index_lists_split_at_commas_or_whitespace(capsys, word, letters):
     doc = run_json(capsys, "descents", "--type", "A2", "--word", word)

@@ -24,6 +24,7 @@ from levispherical import (
     left_descents,
     length,
     levi_irreducible_char,
+    longest_parabolic,
     multiply,
     reduced_word,
     start_census,
@@ -239,7 +240,7 @@ def test_census_unopenable_out_exits_one(capsys, tmp_path, where):
 def test_witness_search_rejects_empty_budgets():
     d4 = spec_of("D4")
     w = from_word(d4, [3, 2, 3, 4, 2, 1, 2])
-    for cap in (-1, True, 1.5, "1"):
+    for cap in (-1, 0, True, 1.5, "1"):
         with pytest.raises(ValueError, match="coefficient cap"):
             witness_search(d4, w, (2, 3), cap)
 
@@ -251,6 +252,44 @@ def test_witness_negative_cap_exits_one(capsys):
     )
     assert code == 1 and out == ""
     assert "coefficient cap" in err
+
+
+def test_witness_cap_zero_exits_one(capsys):
+    # A cap of 0 holds only lambda = 0, which is never a witness: a search
+    # that tries nothing is refused, not reported as inconclusive.
+    code, out, err = run_cli(
+        capsys, "witness", "--type", "A2", "--word", "1 2 1", "--levi", "1",
+        "--cap", "0",
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: witness coefficient cap 0 holds only lambda = 0, never a witness\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "call, error, name",
+    [
+        pytest.param(
+            lambda s: classify(s, from_word(s, [1]), 1), ValueError, "node set 1",
+            id="classify",
+        ),
+        pytest.param(
+            lambda s: longest_parabolic(s, 2), ValueError, "node set 2",
+            id="longest_parabolic",
+        ),
+        pytest.param(
+            lambda s: levi_irreducible_char(s, (1, 0), 1), ValueError, "node set 1",
+            id="levi_irreducible_char",
+        ),
+        pytest.param(
+            lambda s: from_word(s, 5), WordLetterError, "word 5", id="from_word"
+        ),
+    ],
+)
+def test_a_non_iterable_node_set_or_word_is_refused(call, error, name):
+    with pytest.raises(error, match=f"^{name} is not"):
+        call(spec_of("A2"))
 
 
 def test_rank_past_the_bound_exits_one(capsys):

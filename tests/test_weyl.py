@@ -327,18 +327,19 @@ def test_enumeration_holds_layers_compactly():
 @pytest.mark.parametrize("type_str", ["A3", "B3", "G2", "D4", "F4"])
 def test_enumeration_yields_tuples_of_ints(type_str):
     for w in enumerate_group(spec_of(type_str)):
-        for part in (w.rho_image, w.known_word):
+        for part in (w.rho_image, w.word):
             assert type(part) is tuple
             assert set(map(type, part)) <= {int}
 
 
 @pytest.mark.parametrize("type_str", ["A3", "B3", "G2", "D4", "F4"])
 def test_enumeration_wraps_the_raw_stream(type_str):
-    # enumerate_group is _elements with each pair wrapped, in the same order.
+    # enumerate_group is _elements with each packed int wrapped, in the same
+    # order, and the word stripped from each element is the stream's word.
     spec = spec_of(type_str)
     raw = list(weyl._elements(spec, classical_group_order(spec)))
     unpack = weyl._layout(spec).unpack
-    assert [(w.rho_image, w.known_word) for w in enumerate_group(spec)] == [
+    assert [(w.rho_image, w.word) for w in enumerate_group(spec)] == [
         (unpack(p), word) for p, word in raw
     ]
     assert len(raw) == classical_group_order(spec)
@@ -369,10 +370,9 @@ def test_packed_width_follows_the_coxeter_number(type_str, width):
     spec = spec_of(type_str)
     lay = weyl._layout(spec)
     assert lay.bits * spec.rank == width
-    assert lay.pack((lay.height,) * spec.rank).bit_length() == width
-    for bad in ((lay.height + 1,) + (0,) * (spec.rank - 1), (0,) * (spec.rank - 1)):
-        with pytest.raises(ValueError, match="within the bound"):
-            lay.pack(bad)
+    assert lay.top.bit_length() == width
+    # The weight (H, ..., H), the largest coordinates of any w(rho), packed.
+    assert (lay.top + sum(lay.height << s for s in lay.shifts)).bit_length() == width
 
 
 @pytest.mark.parametrize("stream", [enumerate_group, weyl._elements])
@@ -420,16 +420,29 @@ def test_packed_element_paths_match_the_list_walk(type_str):
         elements = random.Random(6).sample(elements, 2000)
     rho = (1,) * spec.rank
     for w, v in zip(elements, elements[1:] + elements[:1]):
-        bare = weyl.WeylElement(spec, w.packed)
-        assert bare.known_word is None
+        bare = weyl._element(spec, w.packed)
         assert bare == w and bare.rho_image == w.rho_image
-        assert bare.word == weyl._word(spec, w.rho_image) == w.known_word
+        assert bare.word == weyl._word(spec, w.rho_image) == w.word
         negative = {i for i, c in enumerate(w.rho_image, 1) if c < 0}
         assert left_descents(spec, bare) == negative
         assert from_word(spec, w.word) == w
         uv = multiply(spec, w, v)
         assert uv.rho_image == weyl.apply_word(spec, w.word, v.rho_image)
         assert inverse(spec, bare).rho_image == weyl.apply_word(spec, w.word[::-1], rho)
+
+
+def test_an_element_has_no_public_constructor():
+    # A raw int outside the orbit of rho would strip to a word that is not
+    # its own (0 on A1 never ends its walk), and a word given beside the int
+    # would be trusted unchecked.  Elements come from words and the stream.
+    a1, a2 = spec_of("A1"), spec_of("A2")
+    for args, kwargs in [
+        ((a1, 0), {}),
+        ((), {"spec": a1, "packed": 0}),
+        ((a2, from_word(a2, [1]).packed, (2,)), {}),
+    ]:
+        with pytest.raises(TypeError):
+            weyl.WeylElement(*args, **kwargs)
 
 
 @pytest.mark.parametrize("type_str", ["E6", "E7", "E8"])
@@ -442,5 +455,5 @@ def test_longest_parabolic_matches_the_list_walk_of_minus_rho(type_str):
             out = [-1] * spec.rank
             word = weyl._walk(spec, out, [i in subset for i in nodes])
             w0 = longest_parabolic(spec, subset)
-            assert w0.known_word == tuple(word)
+            assert weyl._w0_word(spec, subset) == w0.word == tuple(word)
             assert w0.rho_image == tuple(-x for x in out)

@@ -1,4 +1,9 @@
-"""Canonical words carried through enumeration, and the census record text."""
+"""Canonical words, stripped from w(rho) or spelled by the census; record text.
+
+An element holds only its packed w(rho) and strips its word when read; the
+census reads each word of w from the enumeration stream and each word of
+w_0(I) from weyl._w0_word, and strips only d, over its leading nodes.
+"""
 
 import itertools
 import json
@@ -14,14 +19,16 @@ from oracles import longest_parabolic_ascent
 @pytest.mark.parametrize("type_str", ["A4", "B4", "D4", "F4", "G2", "E6"])
 def test_enumeration_carries_the_canonical_word(type_str):
     spec = spec_of(type_str)
-    for w in enumerate_group(spec):
-        assert w.known_word is not None
-        assert w.known_word == weyl._word(spec, w.rho_image)
+    words = [word for _, word in weyl._elements(spec, weyl.DEFAULT_ENUM_CAP)]
+    for w, word in zip(enumerate_group(spec), words, strict=True):
+        assert w.word == word == weyl._word(spec, w.rho_image)
 
 
 def test_census_strips_only_d_and_each_w0_once(monkeypatch):
     spec = spec_of("F4")
-    calls = {"_split": 0, "_word": 0}
+    lay = weyl._layout(spec)
+    calls = {"_split": 0, "_word": 0, "word": 0}
+    full_walks = []
 
     def counting(module, name):
         inner = getattr(module, name)
@@ -32,16 +39,29 @@ def test_census_strips_only_d_and_each_w0_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    def reading_word(w):
+        calls["word"] += 1
+        return strip(w)
+
+    def walking(self, p, head):
+        if head == self.top:
+            full_walks.append(p)
+        return walk(self, p, head)
+
+    strip, walk = weyl.WeylElement.word.fget, weyl._Layout.walk
     counting(census, "_split")
     counting(weyl, "_word")
-    weyl._longest_parabolic.cache_clear()
+    monkeypatch.setattr(weyl.WeylElement, "word", property(reading_word))
+    monkeypatch.setattr(weyl._Layout, "walk", walking)
+    weyl._w0_word.cache_clear()
     summary = run_census(spec)
     assert summary.pair_count == 5089
     # The kernel derives d once per record.  It walks d(rho) over the leading
     # nodes and looks the rest of the word up, so no element is stripped
-    # whole: not w, not d, and not w0(I), which carries the word of the walk
-    # that built it.
-    assert calls == {"_split": summary.pair_count, "_word": 0}
+    # whole: not w, not d, and not w0(I), whose word is the walk of -rho over
+    # I.  The one walk over every node is that of -rho for I = {1, 2, 3, 4}.
+    assert calls == {"_split": summary.pair_count, "_word": 0, "word": 0}
+    assert full_walks == [2 * lay.top - lay.rho]
 
 
 @pytest.mark.parametrize(
@@ -69,11 +89,12 @@ def test_census_d_word_is_the_full_strip(type_str, levi_mode):
 def test_longest_parabolic_carries_its_canonical_word(type_str):
     spec = spec_of(type_str)
     n = spec.rank
-    weyl._longest_parabolic.cache_clear()
+    weyl._w0_word.cache_clear()
     for k in range(n + 1):
         for subset in itertools.combinations(range(1, n + 1), k):
             w0 = longest_parabolic(spec, subset)
-            assert w0.known_word == weyl._word(spec, w0.rho_image)
+            assert weyl._w0_word(spec, subset) == w0.word
+            assert w0.word == weyl._word(spec, w0.rho_image)
             assert w0.rho_image == longest_parabolic_ascent(
                 spec.cartan_matrix, subset
             )
