@@ -58,6 +58,28 @@ terms it holds.  Straightening adds an L_I-dominant term as it stands and
 drops one with an I-coordinate equal to -1 (mu + rho on a wall); only the
 rest are walked.  Decompositions list their highest weights in descending
 order of height, then of grade (coordinate sum), then lexicographically.
+
+Inside every computation a weight is one int, packed by weyl._layout(spec,
+bound) like w(rho) but with a wider bound: a coordinate is a shift and a
+mask, mu - h alpha_i is one subtraction of h times the packed alpha_i, a
+W_I walk is _Layout.walk over the sign bits of I, and a term dict is keyed
+by ints.  Tuples appear only at the public edge: demazure_char,
+levi_irreducible_char and demazure_op unpack once at the end,
+decompose_levi packs its input once, decompose_demazure unpacks its
+entries, and is_multiplicity_free and witness_search unpack only the
+entries of multiplicity >= 2.  The bound comes from a lemma: if every
+input coordinate is at most M in absolute value, nothing a computation
+reaches passes (h - 1)(M + 1), h the Coxeter number.  For a weight x and w
+in W, (w x)_j = <x, w^-1 alpha_j^vee> with w^-1 alpha_j^vee a coroot up to
+sign, whose simple-coroot coefficients sum to at most h - 1, the height of
+the highest coroot; so the orbit of x stays within (h - 1) max |x_i|, and so
+does its hull, coordinates being linear.  A pi_i step writes only weights
+between mu and s_i mu.  The characters along a word from a dominant lam
+(or from an L_I-dominant mu, along the word of w_0(I)) are Demazure
+characters, in the hull of the orbit of lam, with M = max lam.  A W_I walk
+of mu + rho stays in the orbit of mu + rho: for an input term its
+coordinates are at most M + 1, and for a weight mu of a character at lam,
+mu + rho lies in hull W(lam) + hull W(rho), which is hull W(lam + rho).
 """
 
 from __future__ import annotations
@@ -66,7 +88,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
-from operator import add, itemgetter, mul, sub
+from operator import lshift, mul
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .rootsys import (
@@ -78,9 +100,9 @@ from .rootsys import (
 from .sphericality import _check_descents
 from .weyl import (
     WeylElement,
+    _Layout,
+    _layout,
     _w0_word,
-    _walk,
-    _word,
     apply_word,
     reduced_word,
 )
@@ -248,6 +270,47 @@ def reflect_weight(spec: RootSystemSpec, wt, i: int) -> Weight:
     return apply_word(spec, (node_index(spec, i) + 1,), wt)
 
 
+def _reach(weights) -> int:
+    """The largest absolute coordinate of the weights, 0 if there are none.
+
+    The coordinate columns are freed on return, before the caller packs.
+    """
+    columns = list(zip(*weights))
+    return max(max(map(max, columns), default=0), -min(map(min, columns), default=0))
+
+
+def _weight_layout(spec: RootSystemSpec, m: int) -> _Layout:
+    """The packing for a computation whose inputs have coordinates within +-m.
+
+    By the bound lemma (module docstring) nothing it reaches passes
+    (h - 1)(m + 1); the bound is rounded up to 2**b - 1, all a field of
+    b + 1 bits holds, so there is one layout per field width.
+    """
+    reach = (spec.coxeter_number - 1) * (m + 1)
+    return _layout(spec, (1 << reach.bit_length()) - 1)
+
+
+def _packed(
+    spec: RootSystemSpec, terms: Mapping[Weight, int]
+) -> tuple[_Layout, dict[int, int]]:
+    """Checked terms packed by the layout of their largest absolute coordinate.
+
+    Returns the layout and the packed terms.  The layout's bound covers
+    every coordinate of the terms by construction, so they skip the
+    per-weight check of _Layout.pack.
+    """
+    lay = _weight_layout(spec, _reach(terms))
+    top, shifts = lay.top, lay.shifts
+    return lay, {top + sum(map(lshift, wt, shifts)): c for wt, c in terms.items()}
+
+
+def _unpacked(lay: _Layout, terms: Mapping[int, int]) -> dict[Weight, int]:
+    """The packed terms as weights, in the same order: one coordinate at a time."""
+    field, bias = lay.field, lay.bias
+    columns = [[((p >> s) & field) - bias for p in terms] for s in lay.shifts]
+    return dict(zip(zip(*columns), terms.values()))
+
+
 def is_dominant(wt: Weight) -> bool:
     return all(x >= 0 for x in wt)
 
@@ -256,81 +319,74 @@ def is_levi_dominant(wt: Weight, levi) -> bool:
     return all(wt[i - 1] >= 0 for i in levi)
 
 
-def _apply_op(
-    spec: RootSystemSpec, i0: int, terms: Mapping[Weight, int]
-) -> dict[Weight, int]:
-    """pi_{i0+1} on a raw term dict, one alpha-string at a time.
+def _apply_op(lay: _Layout, i: int, terms: Mapping[int, int]) -> dict[int, int]:
+    """pi_i on a packed term dict, one alpha_i-string at a time.
 
-    A string is keyed by its centre, the weight with coordinate i0 in {0, 1}.
+    A string is keyed by its centre, the weight with coordinate i in {0, 1}.
     c*e^mu adds sign*c to g[K] of its string; the coefficient at position
     p >= 0 is the suffix sum of g over K >= p, and s_i mirrors it to -p.
-    More than DEFAULT_TERM_CEILING touched weights, zeros included, raises
-    before the output is built.
+    Moving along a string adds or subtracts the packed alpha_i.  More than
+    DEFAULT_TERM_CEILING touched weights, zeros included, raises before the
+    output is built.
     """
-    bonds = spec.weight_bonds[i0]
-    strings: dict[Weight, dict[int, int]] = {}
+    shift, alpha = lay.reflection[i]
+    field, bias = lay.field, lay.bias
+    strings: dict[int, dict[int, int]] = {}
     for mu, c in terms.items():
-        k = mu[i0]
+        k = ((mu >> shift) & field) - bias
         if k == -1:
             continue
-        h = k >> 1
-        if h:
-            v = list(mu)
-            v[i0] = k & 1
-            for j, a in bonds:
-                v[j] -= h * a
-            centre = tuple(v)
-        else:
-            centre = mu
+        centre = mu - (k >> 1) * alpha
         if k < 0:
             k, c = -k - 2, -c
         g = strings.get(centre)
         if g is None:
             strings[centre] = {k: c}
+        elif k in g:
+            g[k] += c
         else:
-            g[k] = g.get(k, 0) + c
+            g[k] = c
     ceiling = DEFAULT_TERM_CEILING
     if sum(map(max, strings.values())) + len(strings) > ceiling:
         raise CharacterBudgetExceeded(
             f"character exceeded the {ceiling}-term ceiling"
         )
-    out: dict[Weight, int] = {}
+    out: dict[int, int] = {}
     for centre, g in strings.items():
-        r = centre[i0]
+        # nu runs from position top down to the centre's 0 or 1, and mirror
+        # from -top up to -1 or 0.
+        top = max(g)
+        up = top >> 1
+        nu = centre + up * alpha
+        mirror = centre - (up + (top & 1)) * alpha
         s = 0
-        for p in range(max(g), -1, -2):
-            s += g.get(p, 0)
-            if not s:
-                continue
-            v = list(centre)
-            v[i0] = p
-            m = (p - r) >> 1
-            for j, a in bonds:
-                v[j] = centre[j] + m * a
-            out[tuple(v)] = s
-            if p:
-                v[i0] = -p
-                m = -m - r
-                for j, a in bonds:
-                    v[j] = centre[j] + m * a
-                out[tuple(v)] = s
+        for p in range(top, -1, -2):
+            if p in g:
+                s += g[p]
+            if s:
+                out[nu] = s
+                if p:
+                    out[mirror] = s
+            nu -= alpha
+            mirror += alpha
     return out
 
 
 def demazure_op(spec: RootSystemSpec, f: WeightPoly, i: int) -> WeightPoly:
     """Apply pi_i to a weight polynomial."""
-    j = node_index(spec, i)
+    i = node_index(spec, i) + 1
     _check_weights(spec, f.weights())
-    return WeightPoly._wrap(_apply_op(spec, j, f._terms))
+    lay, terms = _packed(spec, f._terms)
+    return WeightPoly._wrap(_unpacked(lay, _apply_op(lay, i, terms)))
 
 
 def _char_along_word(
-    spec: RootSystemSpec, lam: Weight, word: tuple[int, ...]
-) -> dict[Weight, int]:
-    """pi_{i1}(...(pi_{ik}(e^lam))...) for word = (i1, ..., ik)."""
+    lay: _Layout, lam: int, word: tuple[int, ...]
+) -> dict[int, int]:
+    """pi_{i1}(...(pi_{ik}(e^lam))...) for word = (i1, ..., ik), lam packed."""
     terms = {lam: 1}
     for i in reversed(word):
-        terms = _apply_op(spec, i - 1, terms)
+        terms = _apply_op(lay, i, terms)
     return terms
 
 
@@ -344,7 +400,9 @@ def demazure_char(spec: RootSystemSpec, lam, w: WeylElement) -> WeightPoly:
     more than DEFAULT_TERM_CEILING weights.
     """
     lam = _check_dominant(spec, lam)
-    return WeightPoly._wrap(_char_along_word(spec, lam, reduced_word(spec, w)))
+    word = reduced_word(spec, w)
+    lay = _weight_layout(spec, max(lam))
+    return WeightPoly._wrap(_unpacked(lay, _char_along_word(lay, lay.pack(lam), word)))
 
 
 def levi_irreducible_char(spec: RootSystemSpec, mu, levi) -> WeightPoly:
@@ -359,13 +417,15 @@ def levi_irreducible_char(spec: RootSystemSpec, mu, levi) -> WeightPoly:
         raise NonDominantWeight(
             f"weight {mu} is not dominant for levi nodes {list(subset)}"
         )
-    terms = _char_along_word(spec, mu, _w0_word(spec, subset))
-    if terms.get(mu) != 1:
+    lay = _weight_layout(spec, _reach((mu,)))
+    top = lay.pack(mu)
+    terms = _char_along_word(lay, top, _w0_word(spec, subset))
+    if terms.get(top) != 1:
         raise RuntimeError(
             f"levi character of {mu} over {list(subset)} has top "
-            f"coefficient {terms.get(mu, 0)}, not 1"
+            f"coefficient {terms.get(top, 0)}, not 1"
         )
-    return WeightPoly._wrap(terms)
+    return WeightPoly._wrap(_unpacked(lay, terms))
 
 
 def _entry_key(spec: RootSystemSpec) -> Callable[[Weight], tuple]:
@@ -375,16 +435,17 @@ def _entry_key(spec: RootSystemSpec) -> Callable[[Weight], tuple]:
 
 
 def _straighten(
-    spec: RootSystemSpec, terms: Mapping[Weight, int], subset: tuple[int, ...]
-) -> dict[Weight, int]:
-    """pi_{w_0(I)} of a term dict as L_I-multiplicities, by the W_I dot action.
+    lay: _Layout, terms: Mapping[int, int], subset: tuple[int, ...]
+) -> dict[int, int]:
+    """pi_{w_0(I)} of packed terms as L_I-multiplicities, by the W_I dot action.
 
-    A term c*e^mu whose I-coordinates are all >= 0 is L_I-dominant and adds
-    c at mu as it stands.  One with an I-coordinate equal to -1 puts mu + rho
-    on a wall of the chamber, so it straightens to 0 and is dropped.  Every
-    other term walks mu + rho into the closed L_I-dominant chamber, one sign
-    flip of c per reflection; an I-singular end point contributes nothing.
-    Returns the nonzero multiplicities as {mu: mult}, unsorted: each caller
+    A term c*e^mu whose I-coordinates are all >= 0 (every I sign bit set)
+    is L_I-dominant and adds c at mu as it stands.  One with an
+    I-coordinate equal to -1 puts mu + rho on a wall of the chamber, so it
+    straightens to 0 and is dropped.  Every other term walks mu + rho into
+    the closed L_I-dominant chamber, one sign flip of c per reflection; an
+    I-singular end point contributes nothing.  Returns the nonzero
+    multiplicities as a packed {mu: mult}, unsorted: each caller unpacks,
     orders or scans only what it uses.  A negative multiplicity raises
     NotLeviCharacter naming the negative mu of largest _entry_key, the first
     one in decompose_levi's order, whatever the order of terms.
@@ -392,59 +453,67 @@ def _straighten(
     if not subset:
         mults = dict(terms)
     else:
-        # Repeating the first node makes the getter return a tuple for |I| = 1.
-        coords = itemgetter(*(i - 1 for i in subset), subset[0] - 1)
-        active = [j + 1 in subset for j in range(spec.rank)]
-        ones = (1,) * spec.rank
+        head = lay.mask(subset)
+        ones = lay.ones
+        # low holds every bit of the I-fields below their sign bits.  In
+        # (x & low) + low a sign bit is set iff the bits below it in x are
+        # not all clear.  A coordinate of v is 0 iff its field is the bias,
+        # so iff its field in x = v ^ head is 0; once the walk has set every
+        # I sign bit of v, iff its bits below the sign bit are clear.
+        low = head - (head >> (lay.bits - 1))
+        walk = lay.walk
         mults = {}
         for mu, c in terms.items():
-            on_i = coords(mu)
-            if min(on_i) >= 0:
+            if not head & ~mu:
                 mults[mu] = mults.get(mu, 0) + c
                 continue
-            if -1 in on_i:
+            v = mu + ones
+            x = v ^ head
+            if (((x & low) + low) | x) & head != head:
                 continue
-            v = list(map(add, mu, ones))
-            if len(_walk(spec, v, active)) & 1:
+            letters, v = walk(v, head)
+            if len(letters) & 1:
                 c = -c
-            if all(v[i - 1] for i in subset):
-                nu = tuple(map(sub, v, ones))
+            if ((v & low) + low) & head == head:
+                nu = v - ones
                 mults[nu] = mults.get(nu, 0) + c
     if min(mults.values(), default=0) < 0:
-        nu = max((nu for nu, m in mults.items() if m < 0), key=_entry_key(spec))
+        negative = {lay.unpack(nu): m for nu, m in mults.items() if m < 0}
+        nu = max(negative, key=_entry_key(lay.spec))
         raise NotLeviCharacter(
-            f"weight {nu} has negative multiplicity {mults[nu]}"
+            f"weight {nu} has negative multiplicity {negative[nu]}"
         )
     return {nu: m for nu, m in mults.items() if m}
 
 
-def _first_repeat(spec: RootSystemSpec, mults: dict[Weight, int]) -> Optional[Weight]:
-    """The first mu of multiplicity >= 2 in decompose_levi's order, or None."""
-    return max(
-        (nu for nu, m in mults.items() if m >= 2), key=_entry_key(spec), default=None
-    )
+def _first_repeat(
+    lay: _Layout, mults: dict[int, int]
+) -> tuple[Optional[Weight], Optional[int]]:
+    """(mu, mult) for the first mu of multiplicity >= 2 in decompose_levi's order.
+
+    (None, None) when there is none.  Only the entries of multiplicity >= 2
+    are unpacked.
+    """
+    repeats = {lay.unpack(nu): m for nu, m in mults.items() if m >= 2}
+    mu = max(repeats, key=_entry_key(lay.spec), default=None)
+    return mu, repeats.get(mu)
 
 
-def _is_reflection_invariant(
-    spec: RootSystemSpec, terms: Mapping[Weight, int], j: int
-) -> bool:
-    """Is the term dict fixed by the simple reflection of node j + 1?
+def _is_reflection_invariant(lay: _Layout, terms: Mapping[int, int], i: int) -> bool:
+    """Is the packed term dict fixed by the simple reflection of node i?
 
-    s_{j+1} swaps the weights with coordinate j positive and those with it
+    s_i swaps the weights with coordinate i positive and those with it
     negative, and fixes the rest.  Stored coefficients are never 0, so the
     dict is invariant iff every term of the positive side meets its
     reflection with the same coefficient and both sides are equally many.
     """
-    bonds = spec.weight_bonds[j]
+    shift, alpha = lay.reflection[i]
+    field, bias = lay.field, lay.bias
     balance = 0
     for wt, c in terms.items():
-        k = wt[j]
+        k = ((wt >> shift) & field) - bias
         if k > 0:
-            v = list(wt)
-            v[j] = -k
-            for b, a in bonds:
-                v[b] -= k * a
-            if terms.get(tuple(v)) != c:
+            if terms.get(wt - k * alpha) != c:
                 return False
             balance += 1
         elif k:
@@ -473,8 +542,9 @@ def decompose_levi(
     subset = validate_node_subset(spec, levi)
     terms = f._terms
     _check_weights(spec, terms)
+    lay, packed = _packed(spec, terms)
     for i in subset:
-        if _is_reflection_invariant(spec, terms, i - 1):
+        if _is_reflection_invariant(lay, packed, i):
             continue
         moved = [
             wt
@@ -485,14 +555,15 @@ def decompose_levi(
         raise NotLeviCharacter(
             f"the input is not s_{i}-invariant: coefficient {terms[wt]} at {wt}"
         )
-    return _sorted_entries(spec, _straighten(spec, terms, subset))
+    return _sorted_entries(lay, _straighten(lay, packed, subset))
 
 
 def _sorted_entries(
-    spec: RootSystemSpec, mults: dict[Weight, int]
+    lay: _Layout, mults: dict[int, int]
 ) -> tuple[DecompositionEntry, ...]:
-    """The {mu: mult} of _straighten as entries in decompose_levi's order."""
-    order = sorted(mults, key=_entry_key(spec), reverse=True)
+    """The packed {mu: mult} of _straighten as entries in decompose_levi's order."""
+    mults = _unpacked(lay, mults)
+    order = sorted(mults, key=_entry_key(lay.spec), reverse=True)
     return tuple(DecompositionEntry(nu, mults[nu]) for nu in order)
 
 
@@ -519,18 +590,21 @@ class _TermMemo:
         self.held += size
 
 
-# Characters at the orbit points of dominant weights, keyed by (spec, lam,
-# point, ceiling).  The character of any x at lam depends only on the orbit
+# Packed characters at the orbit points of dominant weights, keyed by (spec,
+# lam, packed point, ceiling); lam fixes the layout, so the packed point is
+# unambiguous.  The character of any x at lam depends only on the orbit
 # point x(lam), and the ceiling is part of the key so that a character
 # expanded under one ceiling is never handed out under a lower one.
-# _D_CHAR_TERMS bounds the memory: a cross-check of every E6 full-descent
-# record holds about 160,000 terms, and 200,000 rank-6 terms take about 26 MB.
+# _D_CHAR_TERMS bounds the memory: the complete E6 full-descent cross-check
+# at rho stores 3,404 characters of 196,003 terms in all and evicts none;
+# they take about 14 MB packed (sys.getsizeof of the dicts and their keys;
+# 25 MB with tuple weights).
 _D_CHAR_TERMS = 200_000
 _D_CHARS = _TermMemo(_D_CHAR_TERMS)
 
 
-def _orbit_char(spec: RootSystemSpec, lam: Weight, point: Weight) -> dict[Weight, int]:
-    """The character of any x at dominant lam, given its orbit point x(lam).
+def _orbit_char(lay: _Layout, lam: Weight, point: int) -> dict[int, int]:
+    """The packed character of any x at dominant lam, from its packed point x(lam).
 
     With j the first letter the chamber walk spells from a point p != lam,
     the walk from s_j p spells the rest of p's letters, so the character at
@@ -539,51 +613,55 @@ def _orbit_char(spec: RootSystemSpec, lam: Weight, point: Weight) -> dict[Weight
     then applies the operators back up the path and stores every point it
     passes: each orbit point costs one operator step, once per ceiling.
     """
+    spec = lay.spec
     ceiling = DEFAULT_TERM_CEILING
     key = (spec, lam, point, ceiling)
     terms = _D_CHARS.entries.get(key)
     if terms is not None:
         return terms
     passed = []
-    for i in _word(spec, point):
+    for i in lay.walk(point, lay.top)[0]:
         passed.append((i, key))
-        point = apply_word(spec, (i,), point)
+        point = lay.apply((i,), point)
         key = (spec, lam, point, ceiling)
         terms = _D_CHARS.entries.get(key)
         if terms is not None:
             break
     else:
-        terms = {lam: 1}
+        terms = {point: 1}  # the walk ends at lam
     for i, key in reversed(passed):
-        terms = _apply_op(spec, i - 1, terms)
+        terms = _apply_op(lay, i, terms)
         _D_CHARS.put(key, terms)
     return terms
 
 
 def _levi_straightener(
     spec: RootSystemSpec, w: WeylElement, subset: tuple[int, ...]
-) -> Callable[[Weight], dict[Weight, int]]:
+) -> Callable[[Weight], tuple[_Layout, dict[int, int]]]:
     """lam -> L_I-multiplicities of the Demazure module of (lam, w).
 
     subset is a validated I.  With p = w(lam), only the character at
     w_0(I)(p) is expanded, by _orbit_char, and straightened (module
-    docstring).  Takes a checked dominant lam and returns the unsorted
-    {mu: mult} of _straighten; the smallest i in I with p_i > 0, where the
-    character is not s_i-invariant, raises NotLeviCharacter.
+    docstring).  Takes a checked dominant lam and returns its layout and
+    the packed, unsorted {mu: mult} of _straighten; the smallest i in I
+    with p_i > 0, where the character is not s_i-invariant, raises
+    NotLeviCharacter.
     """
     w_word = reduced_word(spec, w)
     w0i_word = _w0_word(spec, subset)
 
-    def multiplicities(lam: Weight) -> dict[Weight, int]:
-        point = apply_word(spec, w_word, lam)
+    def multiplicities(lam: Weight) -> tuple[_Layout, dict[int, int]]:
+        lay = _weight_layout(spec, max(lam))
+        point = lay.apply(w_word, lay.pack(lam))
+        image = lay.unpack(point)
         for i in subset:
-            if point[i - 1] > 0:
+            if image[i - 1] > 0:
                 raise NotLeviCharacter(
                     f"the Demazure character is not s_{i}-invariant: "
-                    f"coordinate {i} of w(lambda) = {point} is positive"
+                    f"coordinate {i} of w(lambda) = {image} is positive"
                 )
-        point = apply_word(spec, w0i_word, point)
-        return _straighten(spec, _orbit_char(spec, lam, point), subset)
+        point = lay.apply(w0i_word, point)
+        return lay, _straighten(lay, _orbit_char(lay, lam, point), subset)
 
     return multiplicities
 
@@ -600,7 +678,7 @@ def decompose_demazure(
     """
     lam = _check_dominant(spec, lam)
     subset = validate_node_subset(spec, levi)
-    return _sorted_entries(spec, _levi_straightener(spec, w, subset)(lam))
+    return _sorted_entries(*_levi_straightener(spec, w, subset)(lam))
 
 
 def is_multiplicity_free(
@@ -615,9 +693,9 @@ def is_multiplicity_free(
     found without sorting it.
     """
     lam = _check_dominant(spec, lam)
-    mults = _levi_straightener(spec, w, _check_descents(spec, w, levi))(lam)
-    mu = _first_repeat(spec, mults)
-    return MultiplicityCheck(mu is None, mu, mults.get(mu))
+    lay, mults = _levi_straightener(spec, w, _check_descents(spec, w, levi))(lam)
+    mu, m = _first_repeat(lay, mults)
+    return MultiplicityCheck(mu is None, mu, m)
 
 
 @lru_cache(maxsize=8)
@@ -676,12 +754,12 @@ def witness_search(
     weights = _dominant_weights_graded(spec.rank, coeff_cap, DEFAULT_LAMBDA_BUDGET)
     for lam in islice(weights, 1, None):
         try:
-            mults = multiplicities(lam)
+            lay, mults = multiplicities(lam)
         except CharacterBudgetExceeded:
             continue
-        mu = _first_repeat(spec, mults)
+        mu, m = _first_repeat(lay, mults)
         if mu is not None:
-            return Witness(lam, mu, mults[mu])
+            return Witness(lam, mu, m)
     return None
 
 

@@ -204,6 +204,11 @@ class RootSystemSpec:
         )
 
     @cached_property
+    def coxeter_number(self) -> int:
+        """h = 2|Phi+|/rank; h - 1 is the height of the highest root and coroot."""
+        return 2 * len(self.positive_roots) // self.rank
+
+    @cached_property
     def height_functional(self) -> tuple[int, ...]:
         """2 rho^vee in simple-coroot coordinates, so u . alpha_i = 2 for all i.
 
@@ -245,7 +250,9 @@ def is_int(x) -> bool:
 
 def node_index(spec: RootSystemSpec, i) -> int:
     """The 0-based index of node i; ValueError unless i is an int in 1..rank."""
-    if not (is_int(i) and 1 <= i <= spec.rank):
+    if not is_int(i):
+        raise ValueError(f"node index {i!r} is not an int")
+    if not 1 <= i <= spec.rank:
         raise ValueError(f"node index {i} out of range 1..{spec.rank}")
     return i - 1
 
@@ -253,13 +260,17 @@ def node_index(spec: RootSystemSpec, i) -> int:
 def validate_node_subset(spec: RootSystemSpec, nodes) -> tuple[int, ...]:
     """Sorted, deduplicated node tuple; rejects indices outside 1..rank.
 
-    ValueError, naming the input, also for a node set that is not iterable.
+    ValueError, naming the input, also for a node set that is not iterable
+    and for an index that is not an int.
     """
     try:
         nodes = list(nodes)
     except TypeError:
         raise ValueError(f"node set {nodes!r} is not a collection of indices") from None
-    bad = [i for i in nodes if not (is_int(i) and 1 <= i <= spec.rank)]
+    bad = [i for i in nodes if not is_int(i)]
+    if bad:
+        raise ValueError(f"node indices {bad}: {bad[0]!r} is not an int")
+    bad = [i for i in nodes if not 1 <= i <= spec.rank]
     if bad:
         raise ValueError(
             f"node indices {bad} out of range 1..{spec.rank} for {spec.cartan_type}"

@@ -23,25 +23,28 @@ lexicographic w(rho) order so the stream is deterministic.  Every element
 is reached once, from its canonical parent s_m w (m its smallest left
 descent), so its canonical word is the parent's with m prepended.
 
-A group element stores w(rho) packed into one int (_Layout, one per root
-system from _layout).  Each coordinate of w(rho) is <rho, beta^vee> for a
-coroot beta^vee, plus or minus its height, so its absolute value is at most
-H = h - 1, h = 2|Phi+|/rank the Coxeter number.  Each coordinate gets a
-field of bits = H.bit_length() + 1 bits and is stored plus the bias
-B = 2**(bits - 1) > H, so every field lies in 1..2B - 1; coordinate 1 takes
-the top field.  Then
-* integer order is the lexicographic order of w(rho),
+A group element stores w(rho) packed into one int (_Layout).  A layout
+is built for a root system and a bound: every coordinate x with |x| at
+most the bound gets a field of bits = bound.bit_length() + 1 bits and is
+stored plus the bias B = 2**(bits - 1) > bound, so every field lies in
+1..2B - 1; coordinate 1 takes the top field.  Then
+* integer order is the lexicographic order of the weights,
 * a coordinate is negative iff the top bit of its field, its sign bit, is
   clear, so the left descents are the clear sign bits and the smallest of
   them is the highest, found by int.bit_length(),
 * s_j is one subtraction, P - (field_j - B) * A_j, with A_j the packed
   alpha_j in weight coordinates, unbiased.
-E6 packs into 30 bits, E7 into 42, E8 into 48 and B50 into 400.  The
-packing holds only the orbit of rho, so a WeylElement is built only here,
-by _element, from a word applied to rho or from the enumeration; it holds
-the packed int alone, and its word is stripped from it when read.  Weights
-are tuples: apply_word and the list walk (_walk, _word) act on them, for
-the characters module, in the same way.
+_layout(spec) is the layout of w(rho): each coordinate of w(rho) is
+<rho, beta^vee> for a coroot beta^vee, plus or minus its height, so its
+absolute value is at most H = h - 1, h = 2|Phi+|/rank the Coxeter number,
+and H is its bound.  E6 packs into 30 bits, E7 into 42, E8 into 48 and B50
+into 400.  The packing holds only the orbit of rho, so a WeylElement is
+built only here, by _element, from a word applied to rho or from the
+enumeration; it holds the packed int alone, and its word is stripped from
+it when read.  The characters module packs its weights by
+_layout(spec, bound) with the wider bound its computation reaches; pack
+refuses a weight outside the bound, whose fields would wrap.  apply_word
+acts on a weight as a tuple.
 """
 
 from __future__ import annotations
@@ -131,53 +134,19 @@ def apply_word(spec: RootSystemSpec, word: Iterable[int], wt: Weight) -> Weight:
     return tuple(out)
 
 
-def _walk(spec: RootSystemSpec, out: list[int], active) -> list[int]:
-    """Walk out in place into the closed chamber of the active nodes.
-
-    active[j] says whether node j + 1 takes part.  Each step reflects by the
-    smallest active node with a negative coordinate; the letters come in the
-    order applied.  s_j lowers only its bond neighbours, so the scan resumes
-    at the lowest coordinate s_j changed, not at 0.
-    """
-    bonds = spec.weight_bonds
-    n = len(out)
-    letters = []
-    j = 0
-    while j < n:
-        c = out[j]
-        if c >= 0 or not active[j]:
-            j += 1
-            continue
-        letters.append(j + 1)
-        out[j] = -c
-        nxt = j + 1
-        for b, a in bonds[j]:
-            out[b] -= c * a
-            if b < nxt:
-                nxt = b
-        j = nxt
-    return letters
-
-
-def _word(spec: RootSystemSpec, wt: Weight) -> tuple[int, ...]:
-    """The letters of the walk of wt over all nodes, to the dominant chamber.
-
-    For wt = w(rho) they are the canonical reduced word of w.
-    """
-    return tuple(_walk(spec, list(wt), (True,) * len(wt)))
-
-
 class _Layout:
-    """The packing of w(rho) into one int for one root system (module docstring).
+    """The packing of weights into one int for one root system and bound.
 
-    Nodes are 1-based.  top holds the sign bit of every field; a sign bit
-    is clear iff its coordinate is negative.  rho is rho packed.
+    See the module docstring.  Nodes are 1-based.  top holds the sign bit
+    of every field and packs the zero weight; ones holds 1 in every field,
+    so top + ones packs rho.
     """
 
-    def __init__(self, spec: RootSystemSpec) -> None:
+    def __init__(self, spec: RootSystemSpec, bound: int) -> None:
         n = spec.rank
-        self.height = 2 * len(spec.positive_roots) // n - 1  # H = h - 1
-        self.bits = bits = self.height.bit_length() + 1
+        self.spec = spec
+        self.bound = bound
+        self.bits = bits = bound.bit_length() + 1
         self.bias = 1 << (bits - 1)
         self.field = (1 << bits) - 1
         # Node i takes the field at shift (n - i) * bits.  A mask whose
@@ -187,10 +156,22 @@ class _Layout:
         alphas = [sum(map(lshift, row, shifts)) for row in spec.cartan_matrix]
         self.reflection = dict(enumerate(zip(shifts, alphas), 1))
         self.step = {s + bits: (i, s, a) for i, (s, a) in self.reflection.items()}
-        # top is the packed zero weight, the bias in every field; rho adds
-        # 1 to each.
         self.top = self.mask(range(1, n + 1))
-        self.rho = self.top + sum(1 << s for s in shifts)
+        self.ones = sum(1 << s for s in shifts)
+        self.rho = self.top + self.ones
+
+    def pack(self, wt: Weight) -> int:
+        """The weight wt packed; OverflowError if a coordinate passes the bound.
+
+        A coordinate outside -bound..bound would carry into or borrow from
+        the next field, so it is refused, not wrapped.
+        """
+        if max(wt) > self.bound or min(wt) < -self.bound:
+            raise OverflowError(
+                f"weight {wt} has a coordinate outside -{self.bound}..{self.bound}, "
+                f"the bound of its packing"
+            )
+        return self.top + sum(map(lshift, wt, self.shifts))
 
     def unpack(self, p: int) -> Weight:
         field, bias = self.field, self.bias
@@ -238,9 +219,14 @@ class _Layout:
 
 
 @lru_cache(maxsize=None)
-def _layout(spec: RootSystemSpec) -> _Layout:
-    # One per interned spec: at most one per Cartan type.
-    return _Layout(spec)
+def _layout(spec: RootSystemSpec, bound: int | None = None) -> _Layout:
+    """The layout of spec with bound; without one, the layout of w(rho).
+
+    The bound of w(rho) is H = h - 1 (module docstring).  Cached per (spec,
+    bound): the characters module passes only bounds 2**b - 1, so there is
+    at most one layout per spec and field width.
+    """
+    return _Layout(spec, spec.coxeter_number - 1 if bound is None else bound)
 
 
 def identity(spec: RootSystemSpec) -> WeylElement:
@@ -248,7 +234,9 @@ def identity(spec: RootSystemSpec) -> WeylElement:
 
 
 def simple_reflection(spec: RootSystemSpec, i: int) -> WeylElement:
-    if not (is_int(i) and 1 <= i <= spec.rank):
+    if not is_int(i):
+        raise WordLetterError(f"generator index {i!r} is not an int")
+    if not 1 <= i <= spec.rank:
         raise WordLetterError(f"generator index {i} out of range 1..{spec.rank}")
     return from_word(spec, (i,))
 
@@ -265,7 +253,11 @@ def from_word(spec: RootSystemSpec, word: Iterable[int]) -> WeylElement:
     # (an int subclass other than bool passes).
     if not (set(map(type, word)) <= {int} and lay.reflection.keys() >= set(word)):
         for pos, letter in enumerate(word, 1):
-            if not (is_int(letter) and 1 <= letter <= spec.rank):
+            if not is_int(letter):
+                raise WordLetterError(
+                    f"letter {letter!r} at position {pos} is not an int"
+                )
+            if not 1 <= letter <= spec.rank:
                 raise WordLetterError(
                     f"letter {letter!r} at position {pos} out of range 1..{spec.rank}"
                 )

@@ -7,11 +7,14 @@ formulas, the census oracle is Macdonald's product for the Poincare
 polynomial and the acyclic orientations of the Dynkin forest for the
 Coxeter elements (with weight reflections for the full-descent filter),
 the root-coordinate oracles reflect roots letter by letter with the Cartan
-matrix, the type-A oracle models the Weyl group as the symmetric group on
+matrix, the chamber walk reflects a list weight by the smallest negative
+coordinate, with the bonds of the Dynkin diagram, the type-A oracle models the Weyl group as the symmetric group on
 1..n+1 acting by adjacent transpositions and reads its forbidden patterns
 off that brute-force census, the w_0(I) oracle ascends from rho by weight
 reflections read off the Cartan matrix, the Demazure oracle applies the
-three-case monomial rule term by term to the Cartan matrix, and the
+three-case monomial rule term by term to the Cartan matrix, the extremal-
+weight oracle reflects lam by the subwords of a reduced word, the type-A
+character oracle is Kohnert's rule on diagrams, and the
 invariance oracle reflects every term of a polynomial by the same weight
 reflections.
 """
@@ -317,10 +320,102 @@ def demazure_oracle(cartan, lam, word):
     return terms, most
 
 
+def chamber_walk(spec, out, active):
+    """Walk the list out in place into the closed chamber of the active nodes.
+
+    active[j] says whether node j + 1 takes part.  Each step reflects by the
+    smallest active node with a negative coordinate; the letters come in the
+    order applied.  s_j lowers only its bond neighbours, so the scan resumes
+    at the lowest coordinate s_j changed, not at 0.  This is the reference
+    for the package's packed walk (weyl._Layout.walk), on plain lists.
+    """
+    bonds = spec.weight_bonds
+    n = len(out)
+    letters = []
+    j = 0
+    while j < n:
+        c = out[j]
+        if c >= 0 or not active[j]:
+            j += 1
+            continue
+        letters.append(j + 1)
+        out[j] = -c
+        nxt = j + 1
+        for b, a in bonds[j]:
+            out[b] -= c * a
+            if b < nxt:
+                nxt = b
+        j = nxt
+    return letters
+
+
+def chamber_word(spec, wt) -> tuple[int, ...]:
+    """The letters of the walk of wt over all nodes, to the dominant chamber.
+
+    For wt = w(rho) they are the canonical reduced word of w.
+    """
+    return tuple(chamber_walk(spec, list(wt), (True,) * len(wt)))
+
+
 def weight_reflect(cartan, v, i):
     """s_i(v) = v - v_i * C[i] in weight coordinates, i 1-based."""
     k, row = v[i - 1], cartan[i - 1]
     return tuple(x - k * a for x, a in zip(v, row))
+
+
+def bruhat_orbit(cartan, lam, word) -> set[tuple[int, ...]]:
+    """{x(lam) : x <= w} for a reduced word of w, by the subword property.
+
+    The elements below w are the subwords of its reduced word, so the
+    letters are taken from the right end, each as T <- T u s_i(T), starting
+    from T = {lam}.  No Demazure operator is involved.  These are the
+    extremal weights of the Demazure module of (lam, w): its weights in the
+    orbit W(lam), each with multiplicity 1.
+    """
+    orbit = {tuple(lam)}
+    for i in reversed(word):
+        orbit |= {weight_reflect(cartan, v, i) for v in orbit}
+    return orbit
+
+
+def kohnert_char(lam, word) -> dict[tuple[int, ...], int]:
+    """The Demazure character of (lam, w) in type A_(n-1), by Kohnert's rule.
+
+    lam, of length n - 1, becomes the GL_n parts a_i = lam_i + ... + lam_(n-1),
+    a_n = 0.  The letters of the word of w, right end first, swap positions
+    i and i + 1 of a, giving the composition alpha.  The key polynomial of
+    alpha is the sum of x^(row counts) over the diagrams that Kohnert moves
+    reach from the diagram of alpha (row r holds the cells 1..alpha_r; a
+    move takes the rightmost cell of a row down its column to the first
+    empty row below; Kohnert 1990, proved by Reiner and Shimozono).  Each
+    exponent e maps to the weight (e_1 - e_2, ..., e_(n-1) - e_n).
+    """
+    parts = [sum(lam[i:]) for i in range(len(lam))] + [0]
+    for i in reversed(word):
+        parts[i - 1], parts[i] = parts[i], parts[i - 1]
+    start = frozenset((r, c) for r, a in enumerate(parts, 1) for c in range(1, a + 1))
+    seen, todo = {start}, [start]
+    while todo:
+        diagram = todo.pop()
+        rightmost: dict[int, int] = {}
+        for r, c in diagram:
+            rightmost[r] = max(c, rightmost.get(r, 0))
+        for r, c in rightmost.items():
+            below = next((b for b in range(r - 1, 0, -1) if (b, c) not in diagram), None)
+            if below is None:
+                continue
+            moved = diagram - {(r, c)} | {(below, c)}
+            if moved not in seen:
+                seen.add(moved)
+                todo.append(moved)
+    out: dict[tuple[int, ...], int] = {}
+    for diagram in seen:
+        rows = [0] * len(parts)
+        for r, _ in diagram:
+            rows[r - 1] += 1
+        wt = tuple(rows[i] - rows[i + 1] for i in range(len(lam)))
+        out[wt] = out.get(wt, 0) + 1
+    return out
 
 
 def dot_straighten(cartan, terms, subset):

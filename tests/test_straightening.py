@@ -35,7 +35,7 @@ from levispherical import (
 )
 from levispherical.cli import main
 from conftest import random_element, spec_of
-from oracles import demazure_oracle, dot_straighten
+from oracles import chamber_word, demazure_oracle, dot_straighten
 
 
 @pytest.mark.parametrize(
@@ -219,6 +219,12 @@ def straightening_subsets(spec, rng):
         yield tuple(i for i in nodes if rng.random() < 0.5)
 
 
+def straighten(spec, terms, subset):
+    """characters._straighten on terms packed in the layout of their reach."""
+    lay, packed = characters._packed(spec, terms)
+    return characters._unpacked(lay, characters._straighten(lay, packed, subset))
+
+
 @pytest.mark.parametrize("type_str", ["A3", "B3", "D4", "G2", "F4"])
 def test_straighten_matches_the_dot_action_oracle(type_str, rng):
     # Characters of random v straightened over any I: pi_{w_0(I)} pi_v is a
@@ -235,7 +241,7 @@ def test_straighten_matches_the_dot_action_oracle(type_str, rng):
             kinds.update(term_kind(mu, subset) for mu in terms)
             want = nonzero(dot_straighten(cartan, terms, subset))
             assert min(want.values(), default=0) >= 0
-            assert characters._straighten(spec, terms, subset) == want
+            assert straighten(spec, terms, subset) == want
         for _ in range(10):
             terms = {
                 tuple(rng.randint(-4, 3) for _ in range(spec.rank)):
@@ -245,9 +251,9 @@ def test_straighten_matches_the_dot_action_oracle(type_str, rng):
             want = nonzero(dot_straighten(cartan, terms, subset))
             if min(want.values(), default=0) < 0:
                 with pytest.raises(NotLeviCharacter, match="negative multiplicity"):
-                    characters._straighten(spec, terms, subset)
+                    straighten(spec, terms, subset)
             else:
-                assert characters._straighten(spec, terms, subset) == want
+                assert straighten(spec, terms, subset) == want
     assert kinds["dominant"] and kinds["wall"] and kinds["walked"]
 
 
@@ -360,13 +366,15 @@ def test_orbit_char_resumes_along_the_walk(type_str, monkeypatch):
     group = list(enumerate_group(spec))
     for lam in fundamentals_and_rho(spec):
         fresh_memo(monkeypatch)
+        lay = characters._weight_layout(spec, max(lam))
         points = sorted({weyl.apply_word(spec, w.word, lam) for w in group})
         if type_str == "F4" and min(lam):
-            points = [p for p in points if len(weyl._word(spec, p)) <= 8]
+            points = [p for p in points if len(chamber_word(spec, p)) <= 8]
         rng.shuffle(points)
         for p in points:
-            want = characters._char_along_word(spec, lam, weyl._word(spec, p))
-            assert list(characters._orbit_char(spec, lam, p).items()) == list(want.items())
+            want = characters._char_along_word(lay, lay.pack(lam), chamber_word(spec, p))
+            got = characters._orbit_char(lay, lam, lay.pack(p))
+            assert list(got.items()) == list(want.items())
 
 
 def test_orbit_char_steps_once_per_stored_point(monkeypatch):
@@ -375,8 +383,8 @@ def test_orbit_char_steps_once_per_stored_point(monkeypatch):
     steps = Counter()
     apply_op = characters._apply_op
 
-    def counted(spec, i0, terms):
-        out = apply_op(spec, i0, terms)
+    def counted(lay, i, terms):
+        out = apply_op(lay, i, terms)
         steps[id(out)] += 1
         return out
 

@@ -27,6 +27,7 @@ from levispherical import (
     longest_parabolic,
     multiply,
     reduced_word,
+    simple_reflection,
     start_census,
     support,
     witness_search,
@@ -109,6 +110,34 @@ def test_booleans_are_not_integers():
         demazure_op(a2, char, True)
     with pytest.raises(ValueError, match="node index"):
         rootsys.simple_root_in_weight_basis(a2, True)
+
+
+def test_indices_that_are_not_ints_are_named_so():
+    # A value that is not an int is not "out of range"; ints outside 1..rank
+    # still are.
+    a2 = spec_of("A2")
+    char = demazure_char(a2, (1, 0), from_word(a2, [1]))
+    for call, error, message in [
+        (lambda: longest_parabolic(a2, "1"), ValueError,
+         "node indices ['1']: '1' is not an int"),
+        (lambda: classify(a2, from_word(a2, [1]), {1.0}), ValueError,
+         "node indices [1.0]: 1.0 is not an int"),
+        (lambda: from_word(a2, "12"), WordLetterError,
+         "letter '1' at position 1 is not an int"),
+        (lambda: demazure_op(a2, char, "1"), ValueError,
+         "node index '1' is not an int"),
+        (lambda: simple_reflection(a2, "1"), WordLetterError,
+         "generator index '1' is not an int"),
+        (lambda: longest_parabolic(a2, [3]), ValueError,
+         "node indices [3] out of range 1..2 for A2"),
+        (lambda: from_word(a2, [1, 3]), WordLetterError,
+         "letter 3 at position 2 out of range 1..2"),
+        (lambda: demazure_op(a2, char, 3), ValueError,
+         "node index 3 out of range 1..2"),
+    ]:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -305,7 +334,7 @@ def test_root_count_invariant_raises(monkeypatch):
 
 
 def test_levi_top_coefficient_invariant_raises(monkeypatch):
-    monkeypatch.setattr(characters, "_char_along_word", lambda spec, mu, word: {})
+    monkeypatch.setattr(characters, "_char_along_word", lambda lay, top, word: {})
     with pytest.raises(RuntimeError, match="top coefficient"):
         levi_irreducible_char(spec_of("A2"), (1, 0), (1,))
 

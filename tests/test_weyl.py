@@ -27,6 +27,8 @@ from levispherical import (
 )
 from conftest import random_element, random_length_additive_pair, spec_of
 from oracles import (
+    chamber_walk,
+    chamber_word,
     group_order,
     left_inversions,
     phi_plus_of_subset,
@@ -352,7 +354,7 @@ def test_packing_holds_where_the_coordinate_bound_fills_its_bits(type_str):
     # wraps some coordinate.
     spec = spec_of(type_str)
     lay = weyl._layout(spec)
-    assert lay.bias == lay.height + 1
+    assert lay.bias == lay.bound + 1
     raw = list(weyl._elements(spec, classical_group_order(spec)))
     rho = (1,) * spec.rank
     for p, word in raw:
@@ -372,7 +374,7 @@ def test_packed_width_follows_the_coxeter_number(type_str, width):
     assert lay.bits * spec.rank == width
     assert lay.top.bit_length() == width
     # The weight (H, ..., H), the largest coordinates of any w(rho), packed.
-    assert (lay.top + sum(lay.height << s for s in lay.shifts)).bit_length() == width
+    assert (lay.top + sum(lay.bound << s for s in lay.shifts)).bit_length() == width
 
 
 @pytest.mark.parametrize("stream", [enumerate_group, weyl._elements])
@@ -422,7 +424,7 @@ def test_packed_element_paths_match_the_list_walk(type_str):
     for w, v in zip(elements, elements[1:] + elements[:1]):
         bare = weyl._element(spec, w.packed)
         assert bare == w and bare.rho_image == w.rho_image
-        assert bare.word == weyl._word(spec, w.rho_image) == w.word
+        assert bare.word == chamber_word(spec, w.rho_image) == w.word
         negative = {i for i, c in enumerate(w.rho_image, 1) if c < 0}
         assert left_descents(spec, bare) == negative
         assert from_word(spec, w.word) == w
@@ -453,7 +455,7 @@ def test_longest_parabolic_matches_the_list_walk_of_minus_rho(type_str):
     for size in range(spec.rank + 1):
         for subset in itertools.combinations(nodes, size):
             out = [-1] * spec.rank
-            word = weyl._walk(spec, out, [i in subset for i in nodes])
+            word = chamber_walk(spec, out, [i in subset for i in nodes])
             w0 = longest_parabolic(spec, subset)
             assert weyl._w0_word(spec, subset) == w0.word == tuple(word)
             assert w0.rho_image == tuple(-x for x in out)

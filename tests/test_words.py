@@ -13,7 +13,7 @@ import pytest
 from levispherical import census, enumerate_group, longest_parabolic, run_census, weyl
 from levispherical.census import CensusRecord
 from conftest import spec_of
-from oracles import longest_parabolic_ascent
+from oracles import chamber_word, longest_parabolic_ascent
 
 
 @pytest.mark.parametrize("type_str", ["A4", "B4", "D4", "F4", "G2", "E6"])
@@ -21,13 +21,13 @@ def test_enumeration_carries_the_canonical_word(type_str):
     spec = spec_of(type_str)
     words = [word for _, word in weyl._elements(spec, weyl.DEFAULT_ENUM_CAP)]
     for w, word in zip(enumerate_group(spec), words, strict=True):
-        assert w.word == word == weyl._word(spec, w.rho_image)
+        assert w.word == word == chamber_word(spec, w.rho_image)
 
 
 def test_census_strips_only_d_and_each_w0_once(monkeypatch):
     spec = spec_of("F4")
     lay = weyl._layout(spec)
-    calls = {"_split": 0, "_word": 0, "word": 0}
+    calls = {"_split": 0, "word": 0}
     full_walks = []
 
     def counting(module, name):
@@ -50,7 +50,6 @@ def test_census_strips_only_d_and_each_w0_once(monkeypatch):
 
     strip, walk = weyl.WeylElement.word.fget, weyl._Layout.walk
     counting(census, "_split")
-    counting(weyl, "_word")
     monkeypatch.setattr(weyl.WeylElement, "word", property(reading_word))
     monkeypatch.setattr(weyl._Layout, "walk", walking)
     weyl._w0_word.cache_clear()
@@ -60,7 +59,9 @@ def test_census_strips_only_d_and_each_w0_once(monkeypatch):
     # nodes and looks the rest of the word up, so no element is stripped
     # whole: not w, not d, and not w0(I), whose word is the walk of -rho over
     # I.  The one walk over every node is that of -rho for I = {1, 2, 3, 4}.
-    assert calls == {"_split": summary.pair_count, "_word": 0, "word": 0}
+    assert calls == {"_split": summary.pair_count, "word": 0}
+    # The package walks packed weights only: no walk over tuples is left.
+    assert not hasattr(weyl, "_word") and not hasattr(weyl, "_walk")
     assert full_walks == [2 * lay.top - lay.rho]
 
 
@@ -79,7 +80,7 @@ def test_census_d_word_is_the_full_strip(type_str, levi_mode):
         w_rho = weyl.apply_word(spec, rec.w_word, rho)
         w0_word = longest_parabolic(spec, rec.levi).word
         d_rho = weyl.apply_word(spec, w0_word, w_rho)
-        assert rec.d_word == weyl._word(spec, d_rho), rec
+        assert rec.d_word == chamber_word(spec, d_rho), rec
     assert summary.pair_count > 0
 
 
@@ -94,7 +95,7 @@ def test_longest_parabolic_carries_its_canonical_word(type_str):
         for subset in itertools.combinations(range(1, n + 1), k):
             w0 = longest_parabolic(spec, subset)
             assert weyl._w0_word(spec, subset) == w0.word
-            assert w0.word == weyl._word(spec, w0.rho_image)
+            assert w0.word == chamber_word(spec, w0.rho_image)
             assert w0.rho_image == longest_parabolic_ascent(
                 spec.cartan_matrix, subset
             )
