@@ -38,6 +38,7 @@ from .weyl import (
     DEFAULT_ENUM_CAP,
     _elements,
     _layout,
+    _w0_action,
     _w0_word,
     capped_group_order,
     classical_group_order,
@@ -247,19 +248,23 @@ def _census_rows(
     drains this stream and builds no record.  The census reads the raw
     (packed w(rho), word) pairs of weyl._elements and builds no WeylElement.
     The word of w comes with its pair and that of w_0(I) from weyl._w0_word,
-    so neither is stripped, and that of d is stripped only over its leading
-    nodes: the kernel that classify uses walks d(rho) over J = {1..k},
-    k = max(rank - 3, 0), to the element z without left descents in J, and
-    takes the rest of the word from a table of those z, keyed by the packed
-    z(rho) and filled as they stream by.  z is no longer than d,
-    so it comes before w or is w itself (I empty).  The table holds |W| /
-    |W_J| words: 4,320 on E6, 24,192 on E7.  Every pair keeps the
-    length-additivity check; the subsets come from the negative coordinates
-    of w(rho), so they need no validation.  A second table, keyed by the
-    clear sign bits of the packed w(rho), that is by the descent set, holds
-    each descent set's subsets with the text and the w_0(I) word of each,
-    so a line joins the text of w once per element and that of d once per
-    record; _json_line lays it out, as for CensusRecord.to_json_line.
+    so neither is stripped.  The kernel that classify uses, _split, maps
+    w(rho) to d(rho) by the linear action of w_0(I) from weyl._w0_action,
+    |I| field steps, and strips d only over its leading nodes: it walks
+    d(rho) over J = {1..k}, k = max(rank - 3, 0), to the element z without
+    left descents in J, and takes the rest of the word from a table of
+    those z, keyed by the packed z(rho) and filled as they stream by.  z is
+    no longer than d, so it comes before w or is w itself (I empty).  The
+    table holds |W| / |W_J| entries: 4,320 on E6, 24,192 on E7.  With a
+    sink, each entry keeps the line text of z beside its word, the text
+    its element's line already joined, so the text of d joins only the
+    walked prefix to it.  Every pair keeps the length-additivity check; the
+    subsets come from the negative coordinates of w(rho), so they need no
+    validation.  A second table, keyed by the clear sign bits of the packed
+    w(rho), that is by the descent set, holds each descent set's subsets
+    with the text, the w_0(I) word and the w_0(I) action of each, so a line
+    joins the text of w once per element; _json_line lays it out, as for
+    CensusRecord.to_json_line.
     """
     _check_unstarted(spec, summary)
     by_length = summary.by_length
@@ -268,16 +273,21 @@ def _census_rows(
     top = lay.top
     cut = max(spec.rank - 3, 0)
     head = lay.mask(range(1, cut + 1))
-    tails: dict[int, tuple[int, ...]] = {}
+    # packed z(rho) -> (word of z, its text or None without a sink)
+    tails: dict[int, tuple[tuple[int, ...], Optional[str]]] = {}
     text = _node_text(spec.rank).__getitem__
     line_head = _line_head(spec.cartan_type)
-    # clear sign bits -> (I, text of I, word of w_0(I)) per subset, census order
-    levis: dict[int, list[tuple[tuple[int, ...], str, tuple[int, ...]]]] = {}
+    # clear sign bits -> (I, text of I, word of w_0(I), its action) per
+    # subset, in census order
+    levis: dict[int, list[tuple]] = {}
+    w_text = None
     for wt, w_word in _elements(spec, summary.group_order):
+        if sink is not None:
+            w_text = ", ".join(map(text, w_word))
         # w has no left descent in J iff its first letter, its smallest one,
         # is past the cut.
         if not w_word or w_word[0] > cut:
-            tails[wt] = w_word
+            tails[wt] = (w_word, w_text)
         length = len(w_word)
         negative = top & ~wt
         subsets = levis.get(negative)
@@ -287,8 +297,14 @@ def _census_rows(
             size = 1 << len(descents)
             for mask in (size - 1,) if full else range(size):
                 subset = tuple(d for b, d in enumerate(descents) if mask >> b & 1)
-                w0i_word = _w0_word(spec, subset)
-                subsets.append((subset, ", ".join(map(text, subset)), w0i_word))
+                subsets.append(
+                    (
+                        subset,
+                        ", ".join(map(text, subset)),
+                        _w0_word(spec, subset),
+                        _w0_action(spec, subset),
+                    )
+                )
         per = by_length.get(length)
         if per is None:
             per = {"elements": 0, "pairs": 0, "spherical": 0}
@@ -296,10 +312,11 @@ def _census_rows(
         per["elements"] += 1
         # An element is toric iff w itself is a standard Coxeter element.
         summary.toric_count += length == len(set(w_word))
-        if sink is not None:
-            w_text = ", ".join(map(text, w_word))
-        for subset, levi_text, w0i_word in subsets:
-            d_word = _split(lay, wt, w_word, subset, w0i_word, head, tails)
+        for subset, levi_text, w0i_word, w0i_action in subsets:
+            y, (tail, tail_text) = _split(
+                lay, wt, w_word, subset, w0i_word, w0i_action, head, tails
+            )
+            d_word = y + tail
             spherical = len(d_word) == len(set(d_word))
             per["pairs"] += 1
             summary.pair_count += 1
@@ -307,7 +324,10 @@ def _census_rows(
                 per["spherical"] += 1
                 summary.spherical_count += 1
             if sink is not None:
-                d_text = ", ".join(map(text, d_word))
+                if tail_text:
+                    d_text = ", ".join([*map(text, y), tail_text])
+                else:
+                    d_text = ", ".join(map(text, y))
                 sink.write(
                     _json_line(line_head, w_text, length, levi_text, d_text, spherical)
                     + "\n"

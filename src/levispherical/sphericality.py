@@ -21,7 +21,7 @@ standard Coxeter element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .rootsys import CartanType, RootSystemSpec, validate_node_subset
 from .weyl import (
@@ -29,6 +29,7 @@ from .weyl import (
     _Layout,
     _check_element,
     _layout,
+    _w0_action,
     _w0_word,
     is_standard_coxeter,
     left_descents,
@@ -100,39 +101,46 @@ def _split(
     w_word: tuple[int, ...],
     subset: tuple[int, ...],
     w0i_word: tuple[int, ...],
+    w0i_action: tuple[tuple[int, int], ...],
     head: int,
-    tails: Mapping[int, tuple[int, ...]],
-) -> tuple[int, ...]:
-    """The word of d = w_0(I) w, for w given by w(rho) and its word.
+    tails: Mapping[int, tuple[tuple[int, ...], Optional[str]]],
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], Optional[str]]]:
+    """The word of d = w_0(I) w, as a walked prefix and a tail entry.
 
     rho_image is w(rho) packed by lay, the weyl._layout of the root system;
-    subset is a validated I inside the left descent set of w, and w0i_word
-    the canonical word of w_0(I) from weyl._w0_word, the walk of -rho over
-    I, so no w_0(I) is built or stripped.  head holds the sign bits of an
-    initial segment J = {1..k} of the nodes.  d factors as y z with y in
-    W_J and z without left descents in J, lengths adding (Bjorner-Brenti,
-    Prop. 2.4.4); every node of J is smaller than every other, so the
-    canonical word of d is that of y, which the chamber walk of d(rho) over
-    J spells, followed by that of z, which tails maps from the packed z(rho),
-    where the walk stops.  classify passes every node and {rho: ()}, the
-    full strip.  Raises LengthAdditivityError unless length(w) =
-    length(w_0(I)) + length(d), and RuntimeError if tails lacks z.
+    subset is a validated I inside the left descent set of w, w0i_word the
+    canonical word of w_0(I) from weyl._w0_word, and w0i_action w_0(I) as
+    the linear map of weyl._w0_action, which gives d(rho) in |I| steps;
+    no w_0(I) is built or stripped.  head holds the sign bits of an initial
+    segment J = {1..k} of the nodes.  d factors as y z with y in W_J and z
+    without left descents in J, lengths adding (Bjorner-Brenti, Prop.
+    2.4.4); every node of J is smaller than every other, so the canonical
+    word of d is that of y, which the chamber walk of d(rho) over J spells,
+    followed by that of z.  tails maps the packed z(rho), where the walk
+    stops, to (word of z, its line text or None).  Returns y and
+    that entry, so the census joins only y's text.  classify passes every
+    node and {rho: ((), "")}, the full strip.  Raises LengthAdditivityError
+    unless length(w) = length(w_0(I)) + length(d), and RuntimeError if
+    tails lacks z.
     """
     # w_0(I) is an involution, so d = w_0(I)^{-1} w = w_0(I) w.
-    d_word, z = lay.walk(lay.apply(w0i_word, rho_image), head)
+    field, bias = lay.field, lay.bias
+    d = rho_image
+    for s, b in w0i_action:
+        d -= (((rho_image >> s) & field) - bias) * b
+    y, z = lay.walk(d, head)
     tail = tails.get(z)
     if tail is None:
         raise RuntimeError(
             f"no tail word for {lay.unpack(z)}, where the walk of d = "
             f"w_0({list(subset)}) {w_word} over the leading nodes stops"
         )
-    d_word += tail
-    if len(w_word) != len(w0i_word) + len(d_word):
+    if len(w_word) != len(w0i_word) + len(y) + len(tail[0]):
         raise LengthAdditivityError(
             f"length({w_word}) = {len(w_word)} but length(w_0({list(subset)})) + "
-            f"length(d) = {len(w0i_word)} + {len(d_word)}"
+            f"length(d) = {len(w0i_word)} + {len(y) + len(tail[0])}"
         )
-    return d_word
+    return y, tail
 
 
 def classify(spec: RootSystemSpec, w: WeylElement, levi) -> ClassificationResult:
@@ -145,7 +153,16 @@ def classify(spec: RootSystemSpec, w: WeylElement, levi) -> ClassificationResult
     w_word = w.word
     w0i_word = _w0_word(spec, subset)
     lay = _layout(spec)
-    d_word = _split(lay, w.packed, w_word, subset, w0i_word, lay.top, {lay.rho: ()})
+    d_word, _ = _split(
+        lay,
+        w.packed,
+        w_word,
+        subset,
+        w0i_word,
+        _w0_action(spec, subset),
+        lay.top,
+        {lay.rho: ((), "")},
+    )
     support_d = tuple(sorted(set(d_word)))
     return ClassificationResult(
         cartan_type=spec.cartan_type,

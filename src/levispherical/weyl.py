@@ -33,7 +33,10 @@ stored plus the bias B = 2**(bits - 1) > bound, so every field lies in
   clear, so the left descents are the clear sign bits and the smallest of
   them is the highest, found by int.bit_length(),
 * s_j is one subtraction, P - (field_j - B) * A_j, with A_j the packed
-  alpha_j in weight coordinates, unbiased.
+  alpha_j in weight coordinates, unbiased,
+* a group element x acts by one such subtraction per node j whose omega_j
+  it moves, with omega_j - x(omega_j) packed in place of A_j and every
+  field read from P, so w_0(I) takes |I| of them (_w0_action).
 _layout(spec) is the layout of w(rho): each coordinate of w(rho) is
 <rho, beta^vee> for a coroot beta^vee, plus or minus its height, so its
 absolute value is at most H = h - 1, h = 2|Phi+|/rank the Coxeter number,
@@ -312,6 +315,32 @@ def _w0_word(spec: RootSystemSpec, subset: tuple[int, ...]) -> tuple[int, ...]:
     lay = _layout(spec)
     # 2 * top - p packs the negative of the weight that p packs.
     return lay.walk(2 * lay.top - lay.rho, lay.mask(subset))[0]
+
+
+@lru_cache(maxsize=None)
+def _w0_action(
+    spec: RootSystemSpec, subset: tuple[int, ...]
+) -> tuple[tuple[int, int], ...]:
+    """w_0(I) as a linear map on packed w(rho): a pair (s_j, B_j) per j in I.
+
+    B_j is omega_j - w_0(I)(omega_j) packed, unbiased, and s_j the shift of
+    node j; w_0(I) fixes omega_j for j outside I.  So for p packing a weight
+    of the orbit of rho, w_0(I)(p) = p - sum over the pairs of
+    (((p >> s_j) & field) - bias) * B_j, every field read from p itself:
+    |I| steps, not the length of w_0(I).  The packing is affine in the
+    coordinates and no partial sum is read, so the arithmetic is exact
+    whatever the fields of a partial sum hold.  Each B_j comes from the word
+    of _w0_word applied to omega_j, whose orbit has its coordinates within
+    the bound.  For a validated I, keyed as _w0_word.
+    """
+    lay = _layout(spec)
+    word = _w0_word(spec, subset)
+    action = []
+    for j in subset:
+        s = lay.shifts[j - 1]
+        omega = lay.top + (1 << s)
+        action.append((s, omega - lay.apply(word, omega)))
+    return tuple(action)
 
 
 def longest_parabolic(spec: RootSystemSpec, nodes) -> WeylElement:

@@ -16,7 +16,13 @@ from levispherical import (
     run_census,
     start_census,
 )
-from levispherical import MultiplicityCheck, census
+from levispherical import (
+    MultiplicityCheck,
+    Witness,
+    census,
+    is_multiplicity_free,
+    witness_search,
+)
 from levispherical.cli import main
 from conftest import spec_of
 from oracles import (
@@ -507,6 +513,53 @@ def test_cross_check_refuses_records_of_another_type(monkeypatch):
         cross_check(b4, records, [(1, 1, 1, 1)], sample=0.05)
 
 
+@pytest.mark.parametrize("type_str, pairs", [("A3", 75), ("A4", 541), ("D4", 865)])
+def test_mf_at_rho_is_sphericality_on_small_simply_laced_types(type_str, pairs):
+    # An observation, not a theorem: on these complete all-subsets censuses
+    # is_multiplicity_free at lambda = rho decides every pair.
+    spec = spec_of(type_str)
+    rho = (1,) * spec.rank
+    records = list(census_records(spec, start_census(spec)))
+    assert len(records) == pairs
+    for rec in records:
+        w = from_word(spec, rec.w_word)
+        assert bool(is_multiplicity_free(spec, rho, w, rec.levi)) == rec.spherical, rec
+
+
+# The non-spherical pairs (w, I) that are multiplicity-free at rho, each with
+# the first witness witness_search finds.
+MF_AT_RHO_NOT_SPHERICAL = {
+    "G2": [((1, 2, 1, 2), (1,), Witness((0, 2), (3, -1), 2))],
+    "B2": [((1, 2, 1, 2), (2,), Witness((1, 2), (-1, 2), 2))],
+    "B3": [
+        ((2, 3, 2, 3), (3,), Witness((0, 1, 2), (2, -1, 2), 2)),
+        ((1, 2, 3, 2, 3), (3,), Witness((0, 1, 2), (2, -1, 2), 2)),
+        ((1, 2, 3, 2, 3), (1, 3), Witness((0, 1, 2), (2, -1, 2), 2)),
+        ((2, 3, 2, 1, 3), (3,), Witness((0, 1, 2), (2, -1, 2), 2)),
+        ((1, 2, 3, 2, 1, 3), (1, 3), Witness((0, 1, 2), (2, -1, 2), 2)),
+        ((2, 1, 3, 2, 1, 3, 2, 3), (2, 3), Witness((0, 1, 2), (-2, 1, 2), 2)),
+    ],
+    "C3": [
+        ((2, 3, 2, 3), (2,), Witness((0, 2, 1), (2, 2, -1), 2)),
+        ((1, 2, 1, 3, 2, 3), (1, 2), Witness((0, 2, 1), (2, 2, -1), 2)),
+    ],
+}
+
+
+@pytest.mark.parametrize("type_str", sorted(MF_AT_RHO_NOT_SPHERICAL))
+def test_non_spherical_pairs_mf_at_rho_are_pinned(type_str):
+    spec = spec_of(type_str)
+    rho = (1,) * spec.rank
+    found = []
+    for rec in census_records(spec, start_census(spec)):
+        w = from_word(spec, rec.w_word)
+        mf = bool(is_multiplicity_free(spec, rho, w, rec.levi))
+        assert mf or not rec.spherical, rec
+        if mf and not rec.spherical:
+            found.append((rec.w_word, rec.levi, witness_search(spec, w, rec.levi)))
+    assert found == MF_AT_RHO_NOT_SPHERICAL[type_str]
+
+
 def test_cross_check_sampling_is_seeded():
     spec = spec_of("B3")
     records = []
@@ -520,12 +573,30 @@ def test_cross_check_sampling_is_seeded():
         cross_check(spec, records, [(1, 0, 0)], sample=0.0)
 
 
-@pytest.mark.parametrize("levi_mode", census.LEVI_MODES)
-@pytest.mark.parametrize("type_str", ["A1", "G2", "B3", "C3", "F4", "D5"])
-def test_census_lines_are_the_records_own_lines(type_str, levi_mode):
+@pytest.mark.parametrize(
+    "type_str, levi_mode",
+    [
+        (t, m)
+        for t in ("A1", "G2", "B3", "C3", "F4", "D5")
+        for m in census.LEVI_MODES
+    ]
+    + [("E6", "full-descent-only")],
+)
+def test_census_lines_are_the_records_own_lines(monkeypatch, type_str, levi_mode):
     # The census formats each line from its text tables, to_json_line from
-    # the record: both through the one layout.
+    # the record: both through the one layout.  d's text joins the prefix
+    # the kernel walks with the text stored beside the tail's word; on F4
+    # and D5 all subsets every shape of that join occurs.
     spec = spec_of(type_str)
+    split = census._split
+    shapes = set()
+
+    def noting(*args):
+        y, tail = split(*args)
+        shapes.add((bool(y), bool(tail[0])))
+        return y, tail
+
+    monkeypatch.setattr(census, "_split", noting)
 
     class Sink(list):
         write = list.append
@@ -538,6 +609,8 @@ def test_census_lines_are_the_records_own_lines(type_str, levi_mode):
         assert len(sink) == count
         assert sink[-1] == rec.to_json_line() + "\n"
     assert count == summary.pair_count > 0
+    if type_str in ("F4", "D5") and levi_mode == "all-subsets":
+        assert shapes == {(False, True), (True, False), (True, True), (False, False)}
 
 
 @pytest.mark.parametrize("type_str", ["A1", "G2", "F4", "E6"])

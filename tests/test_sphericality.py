@@ -219,19 +219,23 @@ def test_split_refuses_a_missing_tail():
     packed = w.packed
     head = lay.mask([1])
     with pytest.raises(RuntimeError, match="no tail word for"):
-        _split(lay, packed, w.word, (), (), head, {})
-    tails = {from_word(spec, [3, 2]).packed: (3, 2)}
-    assert _split(lay, packed, w.word, (), (), head, tails) == (1, 3, 2)
+        _split(lay, packed, w.word, (), (), (), head, {})
+    tails = {from_word(spec, [3, 2]).packed: ((3, 2), "3, 2")}
+    assert _split(lay, packed, w.word, (), (), (), head, tails) == (
+        (1,),
+        ((3, 2), "3, 2"),
+    )
 
 
 def test_split_refuses_a_word_too_long_for_w():
     spec = spec_of("A3")
     lay = weyl._layout(spec)
     w = from_word(spec, [1])
-    rho = {lay.rho: ()}
+    rho = {lay.rho: ((), "")}
     w0i = longest_parabolic(spec, (1,)).word
+    action = weyl._w0_action(spec, (1,))
     with pytest.raises(LengthAdditivityError, match=r"length\(\(1, 2, 2\)\) = 3"):
-        _split(lay, w.packed, w.word + (2, 2), (1,), w0i, lay.top, rho)
+        _split(lay, w.packed, w.word + (2, 2), (1,), w0i, action, lay.top, rho)
 
 
 @pytest.mark.parametrize("type_str", ["A50", "B50", "D50", "E8"])

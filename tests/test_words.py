@@ -7,12 +7,20 @@ w_0(I) from weyl._w0_word, and strips only d, over its leading nodes.
 
 import itertools
 import json
+import random
 
 import pytest
 
-from levispherical import census, enumerate_group, longest_parabolic, run_census, weyl
+from levispherical import (
+    census,
+    enumerate_group,
+    from_word,
+    longest_parabolic,
+    run_census,
+    weyl,
+)
 from levispherical.census import CensusRecord
-from conftest import spec_of
+from conftest import random_word, spec_of
 from oracles import chamber_word, longest_parabolic_ascent
 
 
@@ -99,6 +107,48 @@ def test_longest_parabolic_carries_its_canonical_word(type_str):
             assert w0.rho_image == longest_parabolic_ascent(
                 spec.cartan_matrix, subset
             )
+
+
+def _act(lay, action, p):
+    # The linear action as its docstring states it, every field read from p.
+    q = p
+    for s, b in action:
+        q -= (((p >> s) & lay.field) - lay.bias) * b
+    return q
+
+
+@pytest.mark.parametrize(
+    "type_str", ["A4", "B4", "D4", "F4", "G2", "E6", "E8", "B50"]
+)
+def test_w0_action_is_the_word_of_w0(type_str):
+    # Every element's w(rho) on the small types; rho, w0(rho) and a seeded
+    # sample on E6 and E8; B50, packed into 400 bits, on a few subsets.
+    spec = spec_of(type_str)
+    lay = weyl._layout(spec)
+    n = spec.rank
+    nodes = range(1, n + 1)
+    rng = random.Random(26)
+    if len(spec.positive_roots) <= 24:
+        points = [w.packed for w in enumerate_group(spec)]
+    else:
+        w0 = longest_parabolic(spec, nodes).packed
+        sample = [from_word(spec, random_word(spec, rng)) for _ in range(40)]
+        points = [lay.rho, w0, *(w.packed for w in sample)]
+    if n <= 8:
+        subsets = [
+            subset
+            for k in range(n + 1)
+            for subset in itertools.combinations(nodes, k)
+        ]
+    else:
+        subsets = [(), tuple(nodes), (1,), (n,), (n - 1, n), tuple(range(1, n, 2))]
+        subsets += [tuple(sorted(rng.sample(nodes, k))) for k in (3, 10, 25)]
+    for subset in subsets:
+        word = weyl._w0_word(spec, subset)
+        action = weyl._w0_action(spec, subset)
+        assert len(action) == len(subset)
+        for p in points:
+            assert _act(lay, action, p) == lay.apply(word, p), (subset, p)
 
 
 @pytest.mark.parametrize("type_str", ["B3", "G2"])
