@@ -16,8 +16,9 @@ list and the cross-check all read it as it is produced; fill_census runs
 the same census and builds no record.  cross_check validates records
 against explicit character computations: a spherical record must be
 multiplicity-free for every weight of the battery (a violation is raised as
-InconsistencyError), and a non-spherical record is handed to
-witness_search, whose failure to find a witness is merely inconclusive.
+InconsistencyError), and a non-spherical record is searched for a witness
+as witness_search searches, whose failure to find one is merely
+inconclusive.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ import json
 import random
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .characters import Weight, is_multiplicity_free, witness_search
+from .characters import _D_CHAR_TERMS, DEFAULT_WITNESS_CAP, Weight, _TermMemo
+from .characters import _first_repeat, _first_witness, _levi_straightener
 from .rootsys import CartanType, RootSystemSpec, is_int
-from .sphericality import _split
+from .sphericality import _check_descents, _split
 # Not called here: perfbench/test_perfbench.py checks that its tracer rebinds
 # census.classify, so the name stays until that test changes.
 from .sphericality import classify  # noqa: F401
@@ -399,10 +402,12 @@ class CrossCheckReport:
 def check_sample_rate(sample: float) -> None:
     """Reject a cross-check sample rate outside (0, 1], NaN included.
 
-    A rate of 0 checks no record, so a cross-check at it could not fail.
+    A rate of 0 checks no record, so a cross-check at it could not fail.  A
+    bool or a value that is not a real number is refused the same way, as
+    witness_search refuses a bool cap.
     """
-    if not 0 < sample <= 1:
-        raise ValueError(f"cross-check sample rate {sample} is not in (0, 1]")
+    if type(sample) is bool or not isinstance(sample, Real) or not 0 < sample <= 1:
+        raise ValueError(f"cross-check sample rate {sample!r} is not a real in (0, 1]")
 
 
 def check_battery(spec: RootSystemSpec, battery) -> list[Weight]:
@@ -426,10 +431,13 @@ def cross_check(
 
     Spherical records must be multiplicity-free for every battery weight;
     any failure raises InconsistencyError naming (w, I, lambda, mu).
-    Non-spherical records are handed to witness_search at its default
-    coefficient cap; not finding a witness within the character budget (the
-    lambda budget and term ceiling of the characters module) is counted as
-    inconclusive, not an error.
+    Non-spherical records are searched for a witness as witness_search
+    searches at its default coefficient cap; not finding a witness within
+    the character budget (the lambda budget and term ceiling of the
+    characters module) is counted as inconclusive, not an error.  Each
+    sampled record is checked against its descents once, and one
+    straightener serves all its weights; one memo of orbit characters
+    serves the whole stream.
 
     Sampling is deterministic given the seed: one draw per record, in
     record order.  The default rate is 1.0 for groups of at most 500
@@ -444,6 +452,7 @@ def cross_check(
     check_sample_rate(sample)
     rng = random.Random(seed)
     report = CrossCheckReport(battery_size=len(battery), sample_rate=sample)
+    memo = _TermMemo(_D_CHAR_TERMS)
     for rec in records:
         if rec.cartan_type != spec.cartan_type:
             raise _type_mismatch(spec, str(rec.cartan_type))
@@ -452,14 +461,16 @@ def cross_check(
             continue
         report.sampled += 1
         w = from_word(spec, rec.w_word)
+        subset = _check_descents(spec, w, rec.levi)
+        multiplicities = _levi_straightener(memo, spec, w, subset)
         if rec.spherical:
             for lam in battery:
-                chk = is_multiplicity_free(spec, lam, w, rec.levi)
-                if not chk:
-                    raise InconsistencyError(rec, lam, chk.witness, chk.multiplicity)
+                mu, m = _first_repeat(*multiplicities(lam))
+                if mu is not None:
+                    raise InconsistencyError(rec, lam, mu, m)
             report.spherical_checked += 1
         else:
-            found = witness_search(spec, w, rec.levi)
+            found = _first_witness(multiplicities, spec.rank, DEFAULT_WITNESS_CAP)
             if found is None:
                 report.witness_inconclusive += 1
             else:

@@ -53,11 +53,13 @@ gives the multiplicities; for I inside the left descents of w, q = d(lambda)
 with d = w_0(I) w.  The walk from the next point s_j p spells the rest of
 p's letters, so the character at p is pi_j of the character there: each
 orbit point is built in one operator step from the next point of its walk,
-once per term ceiling, in a memo keyed by both and bounded by the number of
-terms it holds.  Straightening adds an L_I-dominant term as it stands and
-drops one with an I-coordinate equal to -1 (mu + rho on a wall); only the
-rest are walked.  Decompositions list their highest weights in descending
-order of height, then of grade (coordinate sum), then lexicographically.
+once per top-level call, in a memo that the call makes and drops, keyed by
+(lam, point) and bounded by the number of terms it holds; a cross-check
+makes one memo for its whole stream.  Straightening adds an L_I-dominant
+term as it stands and drops one with an I-coordinate equal to -1 (mu + rho
+on a wall); only the rest are walked.  Decompositions list their highest
+weights in descending order of height, then of grade (coordinate sum), then
+lexicographically.
 
 Inside every computation a weight is one int, packed by weyl._layout(spec,
 bound) like w(rho) but with a wider bound: a coordinate is a shift and a
@@ -590,60 +592,58 @@ class _TermMemo:
         self.held += size
 
 
-# Packed characters at the orbit points of dominant weights, keyed by (spec,
-# lam, packed point, ceiling); lam fixes the layout, so the packed point is
-# unambiguous.  The character of any x at lam depends only on the orbit
-# point x(lam), and the ceiling is part of the key so that a character
-# expanded under one ceiling is never handed out under a lower one.
-# _D_CHAR_TERMS bounds the memory: the complete E6 full-descent cross-check
-# at rho stores 3,404 characters of 196,003 terms in all and evicts none;
-# they take about 14 MB packed (sys.getsizeof of the dicts and their keys;
-# 25 MB with tuple weights).
+# The term bound of the memo each top-level call makes for the packed
+# characters at the orbit points of dominant weights.  It bounds the memory:
+# the complete E6 full-descent cross-check at rho stores 3,404 characters of
+# 196,003 terms in all and evicts none; they take about 14 MB packed
+# (sys.getsizeof of the dicts and their keys; 25 MB with tuple weights).
 _D_CHAR_TERMS = 200_000
-_D_CHARS = _TermMemo(_D_CHAR_TERMS)
 
 
-def _orbit_char(lay: _Layout, lam: Weight, point: int) -> dict[int, int]:
+def _orbit_char(
+    memo: _TermMemo, lay: _Layout, lam: Weight, point: int
+) -> dict[int, int]:
     """The packed character of any x at dominant lam, from its packed point x(lam).
 
-    With j the first letter the chamber walk spells from a point p != lam,
-    the walk from s_j p spells the rest of p's letters, so the character at
-    p is pi_j of the character at s_j p.  A miss walks from point toward
-    lam until a point the memo holds, or lam itself ({lam: 1}, not stored),
-    then applies the operators back up the path and stores every point it
-    passes: each orbit point costs one operator step, once per ceiling.
+    memo is keyed by (lam, packed point): it serves one root system under
+    one term ceiling, and lam fixes the layout, so the packed point is
+    unambiguous.  With j the first letter the chamber walk spells from a
+    point p != lam, the walk from s_j p spells the rest of p's letters, so
+    the character at p is pi_j of the character at s_j p.  A miss walks
+    from point toward lam until a point the memo holds, or lam itself
+    ({lam: 1}, not stored), then applies the operators back up the path and
+    stores every point it passes: each orbit point costs one operator step
+    per memo.
     """
-    spec = lay.spec
-    ceiling = DEFAULT_TERM_CEILING
-    key = (spec, lam, point, ceiling)
-    terms = _D_CHARS.entries.get(key)
+    key = (lam, point)
+    terms = memo.entries.get(key)
     if terms is not None:
         return terms
     passed = []
     for i in lay.walk(point, lay.top)[0]:
         passed.append((i, key))
         point = lay.apply((i,), point)
-        key = (spec, lam, point, ceiling)
-        terms = _D_CHARS.entries.get(key)
+        key = (lam, point)
+        terms = memo.entries.get(key)
         if terms is not None:
             break
     else:
         terms = {point: 1}  # the walk ends at lam
     for i, key in reversed(passed):
         terms = _apply_op(lay, i, terms)
-        _D_CHARS.put(key, terms)
+        memo.put(key, terms)
     return terms
 
 
 def _levi_straightener(
-    spec: RootSystemSpec, w: WeylElement, subset: tuple[int, ...]
+    memo: _TermMemo, spec: RootSystemSpec, w: WeylElement, subset: tuple[int, ...]
 ) -> Callable[[Weight], tuple[_Layout, dict[int, int]]]:
     """lam -> L_I-multiplicities of the Demazure module of (lam, w).
 
     subset is a validated I.  With p = w(lam), only the character at
-    w_0(I)(p) is expanded, by _orbit_char, and straightened (module
-    docstring).  Takes a checked dominant lam and returns its layout and
-    the packed, unsorted {mu: mult} of _straighten; the smallest i in I
+    w_0(I)(p) is expanded, by _orbit_char from memo, and straightened
+    (module docstring).  Takes a checked dominant lam and returns its layout
+    and the packed, unsorted {mu: mult} of _straighten; the smallest i in I
     with p_i > 0, where the character is not s_i-invariant, raises
     NotLeviCharacter.
     """
@@ -661,7 +661,7 @@ def _levi_straightener(
                     f"coordinate {i} of w(lambda) = {image} is positive"
                 )
         point = lay.apply(w0i_word, point)
-        return lay, _straighten(lay, _orbit_char(lay, lam, point), subset)
+        return lay, _straighten(lay, _orbit_char(memo, lay, lam, point), subset)
 
     return multiplicities
 
@@ -678,7 +678,8 @@ def decompose_demazure(
     """
     lam = _check_dominant(spec, lam)
     subset = validate_node_subset(spec, levi)
-    return _sorted_entries(*_levi_straightener(spec, w, subset)(lam))
+    multiplicities = _levi_straightener(_TermMemo(_D_CHAR_TERMS), spec, w, subset)
+    return _sorted_entries(*multiplicities(lam))
 
 
 def is_multiplicity_free(
@@ -693,8 +694,9 @@ def is_multiplicity_free(
     found without sorting it.
     """
     lam = _check_dominant(spec, lam)
-    lay, mults = _levi_straightener(spec, w, _check_descents(spec, w, levi))(lam)
-    mu, m = _first_repeat(lay, mults)
+    subset = _check_descents(spec, w, levi)
+    multiplicities = _levi_straightener(_TermMemo(_D_CHAR_TERMS), spec, w, subset)
+    mu, m = _first_repeat(*multiplicities(lam))
     return MultiplicityCheck(mu is None, mu, m)
 
 
@@ -718,6 +720,25 @@ def _dominant_weights_graded(rank: int, cap: int, budget: int) -> tuple[Weight, 
 
     graded = chain.from_iterable(parts(total, rank) for total in range(rank * cap + 1))
     return tuple(islice(graded, budget))
+
+
+def _first_witness(multiplicities, rank: int, coeff_cap: int) -> Optional[Witness]:
+    """The lam loop of witness_search over multiplicities, a _levi_straightener.
+
+    Tries the weights of _dominant_weights_graded after lam = 0, within
+    DEFAULT_LAMBDA_BUDGET, and skips a lam whose character passes the term
+    ceiling; None when no lam has a multiplicity >= 2.
+    """
+    weights = _dominant_weights_graded(rank, coeff_cap, DEFAULT_LAMBDA_BUDGET)
+    for lam in islice(weights, 1, None):
+        try:
+            lay, mults = multiplicities(lam)
+        except CharacterBudgetExceeded:
+            continue
+        mu, m = _first_repeat(lay, mults)
+        if mu is not None:
+            return Witness(lam, mu, m)
+    return None
 
 
 def witness_search(
@@ -750,17 +771,9 @@ def witness_search(
         raise ValueError(
             "witness coefficient cap 0 holds only lambda = 0, never a witness"
         )
-    multiplicities = _levi_straightener(spec, w, _check_descents(spec, w, levi))
-    weights = _dominant_weights_graded(spec.rank, coeff_cap, DEFAULT_LAMBDA_BUDGET)
-    for lam in islice(weights, 1, None):
-        try:
-            lay, mults = multiplicities(lam)
-        except CharacterBudgetExceeded:
-            continue
-        mu, m = _first_repeat(lay, mults)
-        if mu is not None:
-            return Witness(lam, mu, m)
-    return None
+    subset = _check_descents(spec, w, levi)
+    multiplicities = _levi_straightener(_TermMemo(_D_CHAR_TERMS), spec, w, subset)
+    return _first_witness(multiplicities, spec.rank, coeff_cap)
 
 
 def decomposition_to_json(entries) -> list[dict]:

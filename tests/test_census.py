@@ -17,7 +17,6 @@ from levispherical import (
     start_census,
 )
 from levispherical import (
-    MultiplicityCheck,
     Witness,
     census,
     is_multiplicity_free,
@@ -187,8 +186,10 @@ def test_census_cross_check_reads_the_live_stream(monkeypatch, capsys):
         return wrapped
 
     monkeypatch.setattr(census, "_elements", counting)
-    for name in ("is_multiplicity_free", "witness_search"):
-        monkeypatch.setattr(census, name, noting(getattr(census, name)))
+    # One straightener per sampled record serves its battery or its search.
+    monkeypatch.setattr(
+        census, "_levi_straightener", noting(census._levi_straightener)
+    )
     assert main(["census", "--type", "D4", "--battery", "rho"]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert len(yielded) == 192
@@ -198,11 +199,12 @@ def test_census_cross_check_reads_the_live_stream(monkeypatch, capsys):
 
 def test_census_inconsistency_stops_the_stream(monkeypatch, capsys):
     # A failed check ends the census at its record: stdout holds the records
-    # written so far and no summary, and the exit code is 1.
-    def failing(spec, lam, w, levi):
-        return MultiplicityCheck(False, tuple(lam), 2)
+    # written so far and no summary, and the exit code is 1.  The battery
+    # verdict reads a repeat of multiplicity 2 for every record.
+    def failing(lay, mults):
+        return (1, 1), 2
 
-    monkeypatch.setattr(census, "is_multiplicity_free", failing)
+    monkeypatch.setattr(census, "_first_repeat", failing)
     code = main(["census", "--type", "A2", "--battery", "rho"])
     captured = capsys.readouterr()
     assert code == 1
@@ -505,8 +507,7 @@ def test_cross_check_refuses_records_of_another_type(monkeypatch):
     def no_character_work(*args):
         raise AssertionError("character work on a record of another type")
 
-    monkeypatch.setattr(census, "is_multiplicity_free", no_character_work)
-    monkeypatch.setattr(census, "witness_search", no_character_work)
+    monkeypatch.setattr(census, "_levi_straightener", no_character_work)
     b4, c4 = spec_of("B4"), spec_of("C4")
     records = census_records(c4, start_census(c4))
     with pytest.raises(ValueError, match="record type 'C4' does not match B4"):

@@ -257,17 +257,15 @@ def test_straighten_matches_the_dot_action_oracle(type_str, rng):
     assert kinds["dominant"] and kinds["wall"] and kinds["walked"]
 
 
-def fresh_memo(monkeypatch, bound=characters._D_CHAR_TERMS):
-    memo = characters._TermMemo(bound)
-    monkeypatch.setattr(characters, "_D_CHARS", memo)
-    return memo
+def census_and_battery(spec):
+    records = []
+    run_census(spec, records_out=records)
+    return records, [(1,) * spec.rank, (2,) + (0,) * (spec.rank - 1)]
 
 
 def memo_reading_results(spec):
     """Every public result that reads characters of d, for a census of spec."""
-    records = []
-    run_census(spec, records_out=records)
-    battery = [(1,) * spec.rank, (2,) + (0,) * (spec.rank - 1)]
+    records, battery = census_and_battery(spec)
     witnesses = [
         witness_search(spec, from_word(spec, rec.w_word), rec.levi)
         for rec in records
@@ -282,35 +280,58 @@ def memo_reading_results(spec):
     return witnesses, checks, report.to_json_dict()
 
 
+def memo_walk(memo, spec, records, battery):
+    """What a complete cross-check reads from memo, through the same seams.
+
+    One straightener per record, all on memo: a spherical record's packed
+    multiplicities at every battery weight, or the witness loop's result.
+    """
+    out = []
+    for rec in records:
+        w = from_word(spec, rec.w_word)
+        subset = characters._check_descents(spec, w, rec.levi)
+        multiplicities = characters._levi_straightener(memo, spec, w, subset)
+        if rec.spherical:
+            out.append([multiplicities(lam)[1] for lam in battery])
+        else:
+            cap = characters.DEFAULT_WITNESS_CAP
+            out.append(characters._first_witness(multiplicities, spec.rank, cap))
+    return out
+
+
 @pytest.mark.parametrize("type_str", ["B3", "G2"])
 def test_orbit_memo_is_transparent(type_str, monkeypatch):
     spec = spec_of(type_str)
-    unmemoised = fresh_memo(monkeypatch, bound=0)
-    reference = memo_reading_results(spec)
+    records, battery = census_and_battery(spec)
+    unmemoised = characters._TermMemo(0)
+    reference = memo_walk(unmemoised, spec, records, battery)
     assert unmemoised.held == 0 and not unmemoised.entries
-    memo = fresh_memo(monkeypatch)
-    cold = memo_reading_results(spec)
+    memo = characters._TermMemo(characters._D_CHAR_TERMS)
+    cold = memo_walk(memo, spec, records, battery)
     assert memo.held > 0
     entries = dict(memo.entries)
-    warm = memo_reading_results(spec)
+    warm = memo_walk(memo, spec, records, battery)
     assert memo.entries == entries
     assert cold == warm == reference
+    # The public results, each call on its own memo, are those of no memo.
+    public = memo_reading_results(spec)
+    monkeypatch.setattr(characters, "_D_CHAR_TERMS", 0)
+    assert memo_reading_results(spec) == public
 
 
 def test_orbit_memo_keeps_the_term_ceiling(monkeypatch):
+    # A character expanded under one ceiling is never handed out under a
+    # lower one: each call expands its characters in a memo of its own.
     d4 = spec_of("D4")
     w0 = longest_parabolic(d4, range(1, 5))
     rho = (1, 1, 1, 1)
-    memo = fresh_memo(monkeypatch)
     warm = is_multiplicity_free(d4, rho, w0, ())
     found = witness_search(d4, w0, (2,), coeff_cap=1)
-    assert memo.entries
     monkeypatch.setattr(characters, "DEFAULT_TERM_CEILING", 10)
     with pytest.raises(CharacterBudgetExceeded):
         is_multiplicity_free(d4, rho, w0, ())
     low = witness_search(d4, w0, (2,), coeff_cap=1)
-    fresh_memo(monkeypatch)
-    assert witness_search(d4, w0, (2,), coeff_cap=1) == low
+    assert low != found
     monkeypatch.setattr(characters, "DEFAULT_TERM_CEILING", 5_000_000)
     assert is_multiplicity_free(d4, rho, w0, ()) == warm
     assert witness_search(d4, w0, (2,), coeff_cap=1) == found
@@ -334,9 +355,11 @@ class CheckedMemo(characters._TermMemo):
 
 def test_orbit_memo_is_bounded(monkeypatch):
     spec = spec_of("B3")
+    records, battery = census_and_battery(spec)
     memo = CheckedMemo(60)
-    monkeypatch.setattr(characters, "_D_CHARS", memo)
-    assert memo_reading_results(spec) == memo_reading_results(spec)
+    assert memo_walk(memo, spec, records, battery) == memo_walk(
+        memo, spec, records, battery
+    )
     # Oldest out first: what is held is the newest run of stores.
     held = list(memo.entries)
     assert held and len(held) < len(memo.stored) <= memo.puts
@@ -345,8 +368,12 @@ def test_orbit_memo_is_bounded(monkeypatch):
     assert "too large" not in memo.entries and list(memo.entries) == held
     # Walks that resume from a held point and lose it to eviction on the way
     # back up read the same as no memo at all.
+    tight = memo_walk(memo, spec, records, battery)
+    assert memo_walk(characters._TermMemo(0), spec, records, battery) == tight
+    # So do the public results when every call's memo holds 60 terms.
+    monkeypatch.setattr(characters, "_D_CHAR_TERMS", 60)
     tight = memo_reading_results(spec)
-    fresh_memo(monkeypatch, bound=0)
+    monkeypatch.setattr(characters, "_D_CHAR_TERMS", 0)
     assert memo_reading_results(spec) == tight
 
 
@@ -356,7 +383,7 @@ def fundamentals_and_rho(spec):
 
 
 @pytest.mark.parametrize("type_str", ["B3", "G2", "D4", "F4"])
-def test_orbit_char_resumes_along_the_walk(type_str, monkeypatch):
+def test_orbit_char_resumes_along_the_walk(type_str):
     # Visited in random order, each orbit point resumes from whatever earlier
     # visits stored on its walk, and must still give the very dict the whole
     # walk gives, insertion order included.  On F4 at rho only the points
@@ -365,7 +392,7 @@ def test_orbit_char_resumes_along_the_walk(type_str, monkeypatch):
     rng = random.Random(7)
     group = list(enumerate_group(spec))
     for lam in fundamentals_and_rho(spec):
-        fresh_memo(monkeypatch)
+        memo = characters._TermMemo(characters._D_CHAR_TERMS)
         lay = characters._weight_layout(spec, max(lam))
         points = sorted({weyl.apply_word(spec, w.word, lam) for w in group})
         if type_str == "F4" and min(lam):
@@ -373,13 +400,16 @@ def test_orbit_char_resumes_along_the_walk(type_str, monkeypatch):
         rng.shuffle(points)
         for p in points:
             want = characters._char_along_word(lay, lay.pack(lam), chamber_word(spec, p))
-            got = characters._orbit_char(lay, lam, lay.pack(p))
+            got = characters._orbit_char(memo, lay, lam, lay.pack(p))
             assert list(got.items()) == list(want.items())
 
 
 def test_orbit_char_steps_once_per_stored_point(monkeypatch):
+    # A complete cross-check runs one operator step per character its memo
+    # stores, and the same walk through the seams stores each step's output.
     spec = spec_of("F4")
-    memo = fresh_memo(monkeypatch, bound=10**9)
+    records, _ = census_and_battery(spec)
+    battery = fundamentals_and_rho(spec)
     steps = Counter()
     apply_op = characters._apply_op
 
@@ -389,11 +419,14 @@ def test_orbit_char_steps_once_per_stored_point(monkeypatch):
         return out
 
     monkeypatch.setattr(characters, "_apply_op", counted)
-    records = []
-    run_census(spec, records_out=records)
-    report = cross_check(spec, records, fundamentals_and_rho(spec), sample=1.0)
+    monkeypatch.setattr(characters, "_D_CHAR_TERMS", 10**9)
+    report = cross_check(spec, records, battery, sample=1.0)
     assert report.sampled == 5089 and report.witness_inconclusive == 0
-    assert sum(steps.values()) == len(memo.entries) > 0
+    checked = sum(steps.values())
+    steps.clear()
+    memo = characters._TermMemo(10**9)
+    memo_walk(memo, spec, records, battery)
+    assert sum(steps.values()) == len(memo.entries) == checked > 0
     assert {id(terms) for terms in memo.entries.values()} == set(steps)
 
 
@@ -405,12 +438,55 @@ def test_witness_search_counts_zero_without_expanding_it(monkeypatch):
 
     d4 = spec_of("D4")
     w = from_word(d4, (3, 2, 3, 4, 2, 1, 2))
-    memo = fresh_memo(monkeypatch)
     monkeypatch.setattr(characters, "DEFAULT_LAMBDA_BUDGET", 1)
     monkeypatch.setattr(characters, "_apply_op", refuse)
     monkeypatch.setattr(characters, "_straighten", refuse)
     assert witness_search(d4, w, (2, 3)) is None
+    memo = characters._TermMemo(characters._D_CHAR_TERMS)
+    multiplicities = characters._levi_straightener(memo, d4, w, (2, 3))
+    assert characters._first_witness(multiplicities, d4.rank, 2) is None
     assert not memo.entries
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, w: is_multiplicity_free(spec, (1, 1, 1, 1), w, (2, 3)),
+        lambda spec, w: witness_search(spec, w, (2, 3)),
+        lambda spec, w: decompose_demazure(spec, (1, 1, 1, 1), w, (2, 3)),
+    ],
+    ids=["is_multiplicity_free", "witness_search", "decompose_demazure"],
+)
+def test_separate_calls_share_no_characters(call, monkeypatch):
+    # Each top-level call expands its characters in a memo of its own, so
+    # an identical second call runs every operator step the first ran.
+    d4 = spec_of("D4")
+    w = from_word(d4, (3, 2, 3, 4, 2, 1, 2))
+    steps = []
+    apply_op = characters._apply_op
+
+    def counted(lay, i, terms):
+        steps.append(i)
+        return apply_op(lay, i, terms)
+
+    monkeypatch.setattr(characters, "_apply_op", counted)
+    first = call(d4, w)
+    once = len(steps)
+    assert once > 0
+    assert call(d4, w) == first
+    assert len(steps) == 2 * once
+
+
+def test_characters_holds_no_module_level_memo():
+    # Memos belong to the call that makes them; the lru_caches are the only
+    # state the module keeps.
+    mutable = (dict, list, set, characters._TermMemo)
+    held = [
+        name
+        for name, value in vars(characters).items()
+        if not name.startswith("__") and isinstance(value, mutable)
+    ]
+    assert held == []
 
 
 def test_witness_weights_are_bounded_by_the_budget():

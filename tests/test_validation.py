@@ -165,6 +165,21 @@ def test_cross_check_rejects_sample_rate_outside_unit_interval():
             cross_check(a2, [], [(1, 1)], sample=rate)
 
 
+@pytest.mark.parametrize("rate", [True, False], ids=["True", "False"])
+def test_cross_check_rejects_a_bool_sample_rate(rate):
+    # True == 1 would pass the range test and be reported as "true".
+    a2 = spec_of("A2")
+    with pytest.raises(ValueError, match=f"sample rate {rate} is not a real"):
+        cross_check(a2, [], [(1, 1)], sample=rate)
+
+
+@pytest.mark.parametrize("rate", ["0.5", 0.5j, [0.5]])
+def test_cross_check_rejects_a_sample_rate_that_is_not_real(rate):
+    a2 = spec_of("A2")
+    with pytest.raises(ValueError, match="sample rate .* is not a real"):
+        cross_check(a2, [], [(1, 1)], sample=rate)
+
+
 def test_census_negative_sample_exits_one(capsys):
     code, out, err = run_cli(
         capsys, "census", "--type", "A2", "--battery", "rho", "--sample", "-3"
