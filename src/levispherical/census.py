@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 from numbers import Real
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .characters import _D_CHAR_TERMS, DEFAULT_WITNESS_CAP, Weight, _TermMemo
+from .characters import DEFAULT_WITNESS_CAP, Weight, _TermMemo
 from .characters import _first_repeat, _first_witness, _levi_straightener
 from .rootsys import CartanType, RootSystemSpec, is_int
 from .sphericality import _check_descents, _split
@@ -452,7 +452,7 @@ def cross_check(
     check_sample_rate(sample)
     rng = random.Random(seed)
     report = CrossCheckReport(battery_size=len(battery), sample_rate=sample)
-    memo = _TermMemo(_D_CHAR_TERMS)
+    memo = _TermMemo()
     for rec in records:
         if rec.cartan_type != spec.cartan_type:
             raise _type_mismatch(spec, str(rec.cartan_type))

@@ -569,16 +569,25 @@ def _sorted_entries(
     return tuple(DecompositionEntry(nu, mults[nu]) for nu in order)
 
 
+# The term bound of the memo each top-level call makes for the packed
+# characters at the orbit points of dominant weights.  It bounds the memory:
+# the complete E6 full-descent cross-check at rho stores 3,404 characters of
+# 196,003 terms in all and evicts none; they take about 14 MB packed
+# (sys.getsizeof of the dicts and their keys; 25 MB with tuple weights).
+_D_CHAR_TERMS = 200_000
+
+
 class _TermMemo:
     """An insertion-ordered memo that holds at most `bound` terms in all.
 
+    The bound defaults to _D_CHAR_TERMS as it stands when the memo is made.
     A value is a term dict, which no caller mutates.  Storing past the bound
     drops the oldest entries first; a dict longer than the bound is not
     stored.
     """
 
-    def __init__(self, bound: int) -> None:
-        self.bound = bound
+    def __init__(self, bound: Optional[int] = None) -> None:
+        self.bound = _D_CHAR_TERMS if bound is None else bound
         self.held = 0
         self.entries: OrderedDict[tuple, dict[Weight, int]] = OrderedDict()
 
@@ -590,14 +599,6 @@ class _TermMemo:
             self.held -= len(self.entries.popitem(last=False)[1])
         self.entries[key] = terms
         self.held += size
-
-
-# The term bound of the memo each top-level call makes for the packed
-# characters at the orbit points of dominant weights.  It bounds the memory:
-# the complete E6 full-descent cross-check at rho stores 3,404 characters of
-# 196,003 terms in all and evicts none; they take about 14 MB packed
-# (sys.getsizeof of the dicts and their keys; 25 MB with tuple weights).
-_D_CHAR_TERMS = 200_000
 
 
 def _orbit_char(
@@ -678,7 +679,7 @@ def decompose_demazure(
     """
     lam = _check_dominant(spec, lam)
     subset = validate_node_subset(spec, levi)
-    multiplicities = _levi_straightener(_TermMemo(_D_CHAR_TERMS), spec, w, subset)
+    multiplicities = _levi_straightener(_TermMemo(), spec, w, subset)
     return _sorted_entries(*multiplicities(lam))
 
 
@@ -695,7 +696,7 @@ def is_multiplicity_free(
     """
     lam = _check_dominant(spec, lam)
     subset = _check_descents(spec, w, levi)
-    multiplicities = _levi_straightener(_TermMemo(_D_CHAR_TERMS), spec, w, subset)
+    multiplicities = _levi_straightener(_TermMemo(), spec, w, subset)
     mu, m = _first_repeat(*multiplicities(lam))
     return MultiplicityCheck(mu is None, mu, m)
 
@@ -772,7 +773,7 @@ def witness_search(
             "witness coefficient cap 0 holds only lambda = 0, never a witness"
         )
     subset = _check_descents(spec, w, levi)
-    multiplicities = _levi_straightener(_TermMemo(_D_CHAR_TERMS), spec, w, subset)
+    multiplicities = _levi_straightener(_TermMemo(), spec, w, subset)
     return _first_witness(multiplicities, spec.rank, coeff_cap)
 
 

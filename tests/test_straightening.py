@@ -306,7 +306,7 @@ def test_orbit_memo_is_transparent(type_str, monkeypatch):
     unmemoised = characters._TermMemo(0)
     reference = memo_walk(unmemoised, spec, records, battery)
     assert unmemoised.held == 0 and not unmemoised.entries
-    memo = characters._TermMemo(characters._D_CHAR_TERMS)
+    memo = characters._TermMemo()
     cold = memo_walk(memo, spec, records, battery)
     assert memo.held > 0
     entries = dict(memo.entries)
@@ -370,11 +370,13 @@ def test_orbit_memo_is_bounded(monkeypatch):
     # back up read the same as no memo at all.
     tight = memo_walk(memo, spec, records, battery)
     assert memo_walk(characters._TermMemo(0), spec, records, battery) == tight
-    # So do the public results when every call's memo holds 60 terms.
+    # So do the public results, the cross-check report included, when every
+    # call's memo holds 60 terms.
+    public = memo_reading_results(spec)
     monkeypatch.setattr(characters, "_D_CHAR_TERMS", 60)
-    tight = memo_reading_results(spec)
+    assert memo_reading_results(spec) == public
     monkeypatch.setattr(characters, "_D_CHAR_TERMS", 0)
-    assert memo_reading_results(spec) == tight
+    assert memo_reading_results(spec) == public
 
 
 def fundamentals_and_rho(spec):
@@ -392,7 +394,7 @@ def test_orbit_char_resumes_along_the_walk(type_str):
     rng = random.Random(7)
     group = list(enumerate_group(spec))
     for lam in fundamentals_and_rho(spec):
-        memo = characters._TermMemo(characters._D_CHAR_TERMS)
+        memo = characters._TermMemo()
         lay = characters._weight_layout(spec, max(lam))
         points = sorted({weyl.apply_word(spec, w.word, lam) for w in group})
         if type_str == "F4" and min(lam):
@@ -424,10 +426,39 @@ def test_orbit_char_steps_once_per_stored_point(monkeypatch):
     assert report.sampled == 5089 and report.witness_inconclusive == 0
     checked = sum(steps.values())
     steps.clear()
-    memo = characters._TermMemo(10**9)
+    memo = characters._TermMemo()
+    assert memo.bound == 10**9
     memo_walk(memo, spec, records, battery)
     assert sum(steps.values()) == len(memo.entries) == checked > 0
     assert {id(terms) for terms in memo.entries.values()} == set(steps)
+
+
+@pytest.mark.parametrize("bound", [0, 60, None])
+def test_cross_check_memo_takes_the_bound_in_force(bound, monkeypatch):
+    # cross_check makes its memo when it runs, under the _D_CHAR_TERMS of
+    # that moment, so it runs the operator steps of a seam walk on a memo
+    # of that bound: more of them the smaller the bound.
+    spec = spec_of("B3")
+    records, battery = census_and_battery(spec)
+    steps = []
+    apply_op = characters._apply_op
+
+    def counted(lay, i, terms):
+        steps.append(i)
+        return apply_op(lay, i, terms)
+
+    monkeypatch.setattr(characters, "_apply_op", counted)
+    memo_walk(characters._TermMemo(), spec, records, battery)
+    stored_once = len(steps)
+    if bound is not None:
+        monkeypatch.setattr(characters, "_D_CHAR_TERMS", bound)
+    steps.clear()
+    memo_walk(characters._TermMemo(), spec, records, battery)
+    walked = len(steps)
+    steps.clear()
+    cross_check(spec, records, battery, sample=1.0)
+    assert len(steps) == walked
+    assert (walked > stored_once) == (bound is not None)
 
 
 def test_witness_search_counts_zero_without_expanding_it(monkeypatch):
@@ -442,7 +473,7 @@ def test_witness_search_counts_zero_without_expanding_it(monkeypatch):
     monkeypatch.setattr(characters, "_apply_op", refuse)
     monkeypatch.setattr(characters, "_straighten", refuse)
     assert witness_search(d4, w, (2, 3)) is None
-    memo = characters._TermMemo(characters._D_CHAR_TERMS)
+    memo = characters._TermMemo()
     multiplicities = characters._levi_straightener(memo, d4, w, (2, 3))
     assert characters._first_witness(multiplicities, d4.rank, 2) is None
     assert not memo.entries
