@@ -411,8 +411,14 @@ def check_sample_rate(sample: float) -> None:
 
 
 def check_battery(spec: RootSystemSpec, battery) -> list[Weight]:
-    """The battery as tuples, once every weight is checked dominant integral."""
+    """The battery as tuples, once it is checked nonempty and dominant integral.
+
+    An empty battery would pass every spherical record without checking a
+    weight, so it raises ValueError like a weight that is not dominant.
+    """
     battery = [tuple(lam) for lam in battery]
+    if not battery:
+        raise ValueError(f"{spec.cartan_type} battery names no weight")
     for lam in battery:
         if len(lam) != spec.rank or not all(is_int(x) and x >= 0 for x in lam):
             raise ValueError(f"{spec.cartan_type} battery weight {lam} is not dominant")
@@ -462,7 +468,7 @@ def cross_check(
         report.sampled += 1
         w = from_word(spec, rec.w_word)
         subset = _check_descents(spec, w, rec.levi)
-        multiplicities = _levi_straightener(memo, spec, w, subset)
+        multiplicities = _levi_straightener(spec, w, subset, memo)
         if rec.spherical:
             for lam in battery:
                 mu, m = _first_repeat(*multiplicities(lam))

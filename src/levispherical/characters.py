@@ -43,23 +43,28 @@ Lie Algebras, section 24); the chamber walk of weyl over I finds u and the
 parity of its length.  A W_I-invariant f equals pi_{w_0(I)} f, so
 straightening every term of f gives its L_I-multiplicities.  pi_x e^lambda =
 e^lambda for every x in the stabiliser W_lambda, so the Demazure character
-of w at a dominant lambda depends only on the orbit point p = w(lambda): its
-steps run along the shortest word, the one the chamber walk spells from p
-back to lambda.  It is s_i-invariant iff p_i <= 0; when that holds for every
-i in I, q = w_0(I)(p) is I-dominant and pi_w e^lambda = pi_{w_0(I)} of the
-character at q (length-additive; Bjorner-Brenti, Combinatorics of Coxeter
-Groups, Prop. 2.4.4), so straightening the much smaller character at q
-gives the multiplicities; for I inside the left descents of w, q = d(lambda)
-with d = w_0(I) w.  The walk from the next point s_j p spells the rest of
-p's letters, so the character at p is pi_j of the character there: each
-orbit point is built in one operator step from the next point of its walk,
-once per top-level call, in a memo that the call makes and drops, keyed by
-(lam, point) and bounded by the number of terms it holds; a cross-check
-makes one memo for its whole stream.  Straightening adds an L_I-dominant
-term as it stands and drops one with an I-coordinate equal to -1 (mu + rho
-on a wall); only the rest are walked.  Decompositions list their highest
-weights in descending order of height, then of grade (coordinate sum), then
-lexicographically.
+of w at a dominant lambda depends only on the orbit point p = w(lambda).
+Every character is composed one way, from its orbit point: the chamber walk
+from p back to lambda spells j1 ... jk, the canonical word of the minimal
+representative of the coset w W_lambda, and the character is
+pi_{j1}(...(pi_{jk}(e^lambda))...), so the stabiliser costs no step; at a
+regular lambda the walk spells reduced_word(w).  The irreducible
+L_I-character of an L_I-dominant mu is pi_{w_0(I)} e^mu, composed the same
+way from w_0(I)(mu) by the walk over I.  The character at p is
+s_i-invariant iff p_i <= 0; when that holds for every i in I, q = w_0(I)(p)
+is I-dominant and pi_w e^lambda = pi_{w_0(I)} of the character at q
+(length-additive; Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop.
+2.4.4), so straightening the much smaller character at q gives the
+multiplicities; for I inside the left descents of w, q = d(lambda) with
+d = w_0(I) w.  The walk from the next point s_j p spells the rest of p's
+letters, so the character at p is pi_j of the character there.  Only a
+cross-check keeps what it composes: one memo for its whole stream, keyed by
+the packed point and bounded by the number of terms it holds, builds each
+orbit point once, in one operator step from the next point of its walk.
+Straightening adds an L_I-dominant term as it stands and drops one with an
+I-coordinate equal to -1 (mu + rho on a wall); only the rest are walked.
+Decompositions list their highest weights in descending order of height,
+then of grade (coordinate sum), then lexicographically.
 
 Inside every computation a weight is one int, packed by weyl._layout(spec,
 bound) like w(rho) but with a wider bound: a coordinate is a shift and a
@@ -382,13 +387,78 @@ def demazure_op(spec: RootSystemSpec, f: WeightPoly, i: int) -> WeightPoly:
     return WeightPoly._wrap(_unpacked(lay, _apply_op(lay, i, terms)))
 
 
-def _char_along_word(
-    lay: _Layout, lam: int, word: tuple[int, ...]
+# The term bound of the memo a cross-check makes for the packed characters
+# at the orbit points of dominant weights.  It bounds the memory: the
+# complete E6 full-descent cross-check at rho stores 3,404 characters of
+# 196,003 terms in all and evicts none; they take about 14 MB packed
+# (sys.getsizeof of the dicts and their keys; 25 MB with tuple weights).
+_D_CHAR_TERMS = 200_000
+
+
+class _TermMemo:
+    """An insertion-ordered memo that holds at most `bound` terms in all.
+
+    cross_check makes one for its whole stream; no other call keeps the
+    characters it composes.  The bound defaults to _D_CHAR_TERMS as it
+    stands when the memo is made.  A value is a term dict, which no caller
+    mutates.  Storing past the bound drops the oldest entries first; a dict
+    longer than the bound is not stored.
+    """
+
+    def __init__(self, bound: Optional[int] = None) -> None:
+        self.bound = _D_CHAR_TERMS if bound is None else bound
+        self.held = 0
+        self.entries: OrderedDict[tuple, dict[int, int]] = OrderedDict()
+
+    def put(self, key: tuple, terms: dict[int, int]) -> None:
+        size = len(terms)
+        if size > self.bound:
+            return
+        while self.held + size > self.bound:
+            self.held -= len(self.entries.popitem(last=False)[1])
+        self.entries[key] = terms
+        self.held += size
+
+
+def _orbit_char(
+    lay: _Layout, point: int, head: int, memo: Optional[_TermMemo] = None
 ) -> dict[int, int]:
-    """pi_{i1}(...(pi_{ik}(e^lam))...) for word = (i1, ..., ik), lam packed."""
-    terms = {lam: 1}
-    for i in reversed(word):
+    """The packed character at point, composed along its chamber walk over head.
+
+    The one composer of characters.  The walk over the nodes whose sign bits
+    head holds spells j1 ... jk from point to the point q where it stops,
+    and the character is pi_{j1}(...(pi_{jk}(e^q))...): for head = lay.top
+    and point = x(lam), the character of x at the dominant lam; for head =
+    lay.mask(I) and point = w_0(I)(mu), pi_{w_0(I)} e^mu.  Without a memo
+    nothing is kept.  A memo, which only the cross-check passes and only
+    with head = lay.top, is keyed by (lay, packed point): it serves one root
+    system under one term ceiling, and the layout makes the packed point
+    unambiguous.  With j the first letter from a point p != q, the walk from
+    s_j p spells the rest of p's letters, so the character at p is pi_j of
+    the character at s_j p.  So a held point is returned before any walk,
+    a miss walks only to the first point the memo holds, and the operators
+    applied back up the path store every point they pass: each orbit point
+    costs one operator step per memo.
+    """
+    entries = {} if memo is None else memo.entries
+    key = (lay, point)
+    terms = entries.get(key)
+    if terms is not None:
+        return terms
+    passed = []
+    for i in lay.walk(point, head)[0]:
+        passed.append((i, key))
+        point = lay.apply((i,), point)
+        key = (lay, point)
+        terms = entries.get(key)
+        if terms is not None:
+            break
+    else:
+        terms = {point: 1}  # the walk ends at q
+    for i, key in reversed(passed):
         terms = _apply_op(lay, i, terms)
+        if memo is not None:
+            memo.put(key, terms)
     return terms
 
 
@@ -397,21 +467,27 @@ def demazure_char(spec: RootSystemSpec, lam, w: WeylElement) -> WeightPoly:
 
     lam must be dominant.  The coefficient of e^lam in the result is 1, the
     result is independent of the reduced word used for w, and it is
-    s_i-symmetric for every left descent i of w.  Like every character
-    path, it raises CharacterBudgetExceeded when one operator step touches
-    more than DEFAULT_TERM_CEILING weights.
+    s_i-symmetric for every left descent i of w.  It is composed from the
+    orbit point w(lam), by _orbit_char over every node: at a singular lam
+    the walk skips the stabiliser, so E6's w0 at omega_1 takes 16 operator
+    steps, not the 36 of a reduced word.  Like every character path, it
+    raises CharacterBudgetExceeded when one operator step touches more than
+    DEFAULT_TERM_CEILING weights.
     """
     lam = _check_dominant(spec, lam)
-    word = reduced_word(spec, w)
     lay = _weight_layout(spec, max(lam))
-    return WeightPoly._wrap(_unpacked(lay, _char_along_word(lay, lay.pack(lam), word)))
+    point = lay.apply(reduced_word(spec, w), lay.pack(lam))
+    return WeightPoly._wrap(_unpacked(lay, _orbit_char(lay, point, lay.top)))
 
 
 def levi_irreducible_char(spec: RootSystemSpec, mu, levi) -> WeightPoly:
     """Character of the irreducible L_I-module with highest weight mu.
 
     mu must be L_I-dominant (mu_i >= 0 for i in I); coordinates off I are
-    unconstrained and ride along as a torus character.
+    unconstrained and ride along as a torus character.  It is pi_{w_0(I)}
+    e^mu, composed from the point w_0(I)(mu) by _orbit_char over the nodes
+    of I, so the stabiliser of mu in W_I costs no step.  A top coefficient
+    other than 1 is a broken invariant and raises RuntimeError.
     """
     mu = _check_weight(spec, mu)
     subset = validate_node_subset(spec, levi)
@@ -421,7 +497,8 @@ def levi_irreducible_char(spec: RootSystemSpec, mu, levi) -> WeightPoly:
         )
     lay = _weight_layout(spec, _reach((mu,)))
     top = lay.pack(mu)
-    terms = _char_along_word(lay, top, _w0_word(spec, subset))
+    point = lay.apply(_w0_word(spec, subset), top)
+    terms = _orbit_char(lay, point, lay.mask(subset))
     if terms.get(top) != 1:
         raise RuntimeError(
             f"levi character of {mu} over {list(subset)} has top "
@@ -569,84 +646,20 @@ def _sorted_entries(
     return tuple(DecompositionEntry(nu, mults[nu]) for nu in order)
 
 
-# The term bound of the memo each top-level call makes for the packed
-# characters at the orbit points of dominant weights.  It bounds the memory:
-# the complete E6 full-descent cross-check at rho stores 3,404 characters of
-# 196,003 terms in all and evicts none; they take about 14 MB packed
-# (sys.getsizeof of the dicts and their keys; 25 MB with tuple weights).
-_D_CHAR_TERMS = 200_000
-
-
-class _TermMemo:
-    """An insertion-ordered memo that holds at most `bound` terms in all.
-
-    The bound defaults to _D_CHAR_TERMS as it stands when the memo is made.
-    A value is a term dict, which no caller mutates.  Storing past the bound
-    drops the oldest entries first; a dict longer than the bound is not
-    stored.
-    """
-
-    def __init__(self, bound: Optional[int] = None) -> None:
-        self.bound = _D_CHAR_TERMS if bound is None else bound
-        self.held = 0
-        self.entries: OrderedDict[tuple, dict[Weight, int]] = OrderedDict()
-
-    def put(self, key: tuple, terms: dict[Weight, int]) -> None:
-        size = len(terms)
-        if size > self.bound:
-            return
-        while self.held + size > self.bound:
-            self.held -= len(self.entries.popitem(last=False)[1])
-        self.entries[key] = terms
-        self.held += size
-
-
-def _orbit_char(
-    memo: _TermMemo, lay: _Layout, lam: Weight, point: int
-) -> dict[int, int]:
-    """The packed character of any x at dominant lam, from its packed point x(lam).
-
-    memo is keyed by (lam, packed point): it serves one root system under
-    one term ceiling, and lam fixes the layout, so the packed point is
-    unambiguous.  With j the first letter the chamber walk spells from a
-    point p != lam, the walk from s_j p spells the rest of p's letters, so
-    the character at p is pi_j of the character at s_j p.  A miss walks
-    from point toward lam until a point the memo holds, or lam itself
-    ({lam: 1}, not stored), then applies the operators back up the path and
-    stores every point it passes: each orbit point costs one operator step
-    per memo.
-    """
-    key = (lam, point)
-    terms = memo.entries.get(key)
-    if terms is not None:
-        return terms
-    passed = []
-    for i in lay.walk(point, lay.top)[0]:
-        passed.append((i, key))
-        point = lay.apply((i,), point)
-        key = (lam, point)
-        terms = memo.entries.get(key)
-        if terms is not None:
-            break
-    else:
-        terms = {point: 1}  # the walk ends at lam
-    for i, key in reversed(passed):
-        terms = _apply_op(lay, i, terms)
-        memo.put(key, terms)
-    return terms
-
-
 def _levi_straightener(
-    memo: _TermMemo, spec: RootSystemSpec, w: WeylElement, subset: tuple[int, ...]
+    spec: RootSystemSpec,
+    w: WeylElement,
+    subset: tuple[int, ...],
+    memo: Optional[_TermMemo] = None,
 ) -> Callable[[Weight], tuple[_Layout, dict[int, int]]]:
     """lam -> L_I-multiplicities of the Demazure module of (lam, w).
 
     subset is a validated I.  With p = w(lam), only the character at
-    w_0(I)(p) is expanded, by _orbit_char from memo, and straightened
-    (module docstring).  Takes a checked dominant lam and returns its layout
-    and the packed, unsorted {mu: mult} of _straighten; the smallest i in I
-    with p_i > 0, where the character is not s_i-invariant, raises
-    NotLeviCharacter.
+    w_0(I)(p) is composed, by _orbit_char (with the cross-check's memo, if
+    given), and straightened (module docstring).  Takes a checked dominant
+    lam and returns its layout and the packed, unsorted {mu: mult} of
+    _straighten; the smallest i in I with p_i > 0, where the character is
+    not s_i-invariant, raises NotLeviCharacter.
     """
     w_word = reduced_word(spec, w)
     w0i_word = _w0_word(spec, subset)
@@ -662,7 +675,7 @@ def _levi_straightener(
                     f"coordinate {i} of w(lambda) = {image} is positive"
                 )
         point = lay.apply(w0i_word, point)
-        return lay, _straighten(lay, _orbit_char(memo, lay, lam, point), subset)
+        return lay, _straighten(lay, _orbit_char(lay, point, lay.top, memo), subset)
 
     return multiplicities
 
@@ -679,7 +692,7 @@ def decompose_demazure(
     """
     lam = _check_dominant(spec, lam)
     subset = validate_node_subset(spec, levi)
-    multiplicities = _levi_straightener(_TermMemo(), spec, w, subset)
+    multiplicities = _levi_straightener(spec, w, subset)
     return _sorted_entries(*multiplicities(lam))
 
 
@@ -696,7 +709,7 @@ def is_multiplicity_free(
     """
     lam = _check_dominant(spec, lam)
     subset = _check_descents(spec, w, levi)
-    multiplicities = _levi_straightener(_TermMemo(), spec, w, subset)
+    multiplicities = _levi_straightener(spec, w, subset)
     mu, m = _first_repeat(*multiplicities(lam))
     return MultiplicityCheck(mu is None, mu, m)
 
@@ -773,7 +786,7 @@ def witness_search(
             "witness coefficient cap 0 holds only lambda = 0, never a witness"
         )
     subset = _check_descents(spec, w, levi)
-    multiplicities = _levi_straightener(_TermMemo(), spec, w, subset)
+    multiplicities = _levi_straightener(spec, w, subset)
     return _first_witness(multiplicities, spec.rank, coeff_cap)
 
 

@@ -97,8 +97,6 @@ def _parse_battery(spec: RootSystemSpec, text: str) -> list[tuple[int, ...]]:
             out.append((1,) * spec.rank)
         else:
             out.append(_parse_weight(spec, part))
-    if not out:
-        raise ValueError(f"census --battery {text!r} names no weight")
     return census_mod.check_battery(spec, out)
 
 

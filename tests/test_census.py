@@ -461,12 +461,19 @@ def test_cross_check_a2_full_battery():
 
 
 def test_cross_check_empty_battery():
+    # An empty battery would pass every spherical record unchecked, so it is
+    # refused before the first record is read.
     spec = spec_of("A2")
     records = []
     run_census(spec, records_out=records)
-    report = cross_check(spec, records, [])
-    assert report.battery_size == 0
-    assert report.spherical_checked == 12
+
+    def unread():
+        raise AssertionError("a record was read")
+        yield
+
+    for stream in (records, unread()):
+        with pytest.raises(ValueError, match="^A2 battery names no weight$"):
+            cross_check(spec, stream, [])
 
 
 def test_cross_check_flags_wrong_spherical_claim():
@@ -539,6 +546,52 @@ MF_AT_RHO_NOT_SPHERICAL = {
         ((2, 3, 2, 1, 3), (3,), Witness((0, 1, 2), (2, -1, 2), 2)),
         ((1, 2, 3, 2, 1, 3), (1, 3), Witness((0, 1, 2), (2, -1, 2), 2)),
         ((2, 1, 3, 2, 1, 3, 2, 3), (2, 3), Witness((0, 1, 2), (-2, 1, 2), 2)),
+    ],
+    "B4": [
+        ((3, 4, 3, 4), (4,), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((1, 3, 4, 3, 4), (4,), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((1, 3, 4, 3, 4), (1, 4), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((3, 4, 3, 2, 4), (4,), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((2, 3, 4, 3, 4), (4,), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((2, 3, 4, 3, 4), (2, 4), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((1, 2, 3, 4, 3, 4), (4,), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((1, 2, 3, 4, 3, 4), (1, 4), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((1, 3, 4, 3, 2, 4), (4,), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((1, 3, 4, 3, 2, 4), (1, 4), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((3, 4, 3, 2, 1, 4), (4,), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((2, 1, 3, 4, 3, 4), (4,), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((2, 1, 3, 4, 3, 4), (2, 4), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((2, 3, 4, 3, 2, 4), (2, 4), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((1, 2, 1, 3, 4, 3, 4), (1, 4), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((1, 2, 1, 3, 4, 3, 4), (2, 4), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((1, 2, 1, 3, 4, 3, 4), (1, 2, 4), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((1, 3, 4, 3, 2, 1, 4), (1, 4), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((2, 1, 3, 4, 3, 2, 4), (2, 4), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((2, 3, 4, 3, 2, 1, 4), (2, 4), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((1, 2, 1, 3, 4, 3, 2, 4), (1, 2, 4), Witness((0, 0, 1, 2), (0, 2, -1, 2), 2)),
+        ((3, 2, 4, 3, 2, 4, 3, 4), (3, 4), Witness((0, 0, 1, 2), (2, -2, 1, 2), 2)),
+        (
+            (1, 2, 1, 3, 4, 3, 2, 1, 4),
+            (1, 2, 4),
+            Witness((0, 0, 1, 2), (0, 2, -1, 2), 2),
+        ),
+        ((1, 3, 2, 4, 3, 2, 4, 3, 4), (3, 4), Witness((0, 0, 1, 2), (2, -2, 1, 2), 2)),
+        (
+            (1, 3, 2, 4, 3, 2, 4, 3, 4),
+            (1, 3, 4),
+            Witness((0, 0, 1, 2), (2, -2, 1, 2), 2),
+        ),
+        ((3, 2, 4, 3, 2, 1, 4, 3, 4), (3, 4), Witness((0, 0, 1, 2), (2, -2, 1, 2), 2)),
+        (
+            (1, 3, 2, 4, 3, 2, 1, 4, 3, 4),
+            (1, 3, 4),
+            Witness((0, 0, 1, 2), (2, -2, 1, 2), 2),
+        ),
+        (
+            (2, 3, 2, 1, 4, 3, 2, 1, 4, 3, 2, 4, 3, 4),
+            (2, 3, 4),
+            Witness((0, 0, 1, 2), (-2, 0, 1, 2), 2),
+        ),
     ],
     "C3": [
         ((2, 3, 2, 3), (2,), Witness((0, 2, 1), (2, 2, -1), 2)),

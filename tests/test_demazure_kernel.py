@@ -16,6 +16,7 @@ from levispherical import (
     demazure_op,
     from_word,
     left_descents,
+    levi_irreducible_char,
     longest_parabolic,
     reduced_word,
 )
@@ -62,9 +63,15 @@ def test_demazure_char_matches_oracle_and_ceiling(type_str, rng, monkeypatch):
         if not word:
             continue
         lam = tuple(rng.randint(0, cap) for _ in range(spec.rank))
-        want, most = demazure_oracle(spec.cartan_matrix, lam, word)
+        want, _ = demazure_oracle(spec.cartan_matrix, lam, word)
         assert demazure_char(spec, lam, w).as_dict() == want
-        # The ceiling counts every weight one step touches, zeros included.
+        # demazure_char composes along the walk from w(lam), and the ceiling
+        # counts every weight one step of it touches, zeros included.  The
+        # walk is empty when w fixes lam: there is no step to bound.
+        walk = chamber_word(spec, weyl.apply_word(spec, word, lam))
+        if not walk:
+            continue
+        _, most = demazure_oracle(spec.cartan_matrix, lam, walk)
         with monkeypatch.context() as m:
             m.setattr(characters, "DEFAULT_TERM_CEILING", most)
             assert demazure_char(spec, lam, w).as_dict() == want
@@ -123,12 +130,47 @@ def test_character_of_d_along_the_orbit_walk(type_str, rng):
         lam = [rng.randint(0, 2) for _ in range(spec.rank)]
         lam[rng.randrange(spec.rank)] = 0
         lam = tuple(lam)
-        walk = chamber_word(spec, weyl.apply_word(spec, d_word, lam))
+        point = weyl.apply_word(spec, d_word, lam)
+        walk = chamber_word(spec, point)
         want, _ = demazure_oracle(spec.cartan_matrix, lam, d_word)
         lay = characters._weight_layout(spec, max(lam))
         for word in (d_word, walk):
-            terms = characters._char_along_word(lay, lay.pack(lam), word)
+            terms = {lay.pack(lam): 1}
+            for i in reversed(word):
+                terms = characters._apply_op(lay, i, terms)
             assert characters._unpacked(lay, terms) == want
+        terms = characters._orbit_char(lay, lay.pack(point), lay.top)
+        assert characters._unpacked(lay, terms) == want
         assert len(walk) <= len(d_word)
         shortened += len(walk) < len(d_word)
     assert shortened
+
+
+@pytest.mark.parametrize(
+    "type_str, lam, steps", [("E6", (1, 0, 0, 0, 0, 0), 16), ("D4", (1, 0, 0, 0), 6)]
+)
+def test_a_singular_weight_spends_no_step_on_its_stabiliser(
+    type_str, lam, steps, monkeypatch
+):
+    # pi_{w0} e^lam composed from w0(lam) walks only the minimal coset
+    # representative of w0 W_lam: E6 at omega_1 takes 36 - 20 steps, D4 at
+    # omega_1 takes 12 - 6, in demazure_char and levi_irreducible_char alike.
+    spec = spec_of(type_str)
+    nodes = tuple(range(1, spec.rank + 1))
+    w0 = longest_parabolic(spec, nodes)
+    want, _ = demazure_oracle(spec.cartan_matrix, lam, reduced_word(spec, w0))
+    counted = []
+    apply_op = characters._apply_op
+
+    def counting(lay, i, terms):
+        counted.append(i)
+        return apply_op(lay, i, terms)
+
+    monkeypatch.setattr(characters, "_apply_op", counting)
+    for char in (
+        lambda: demazure_char(spec, lam, w0),
+        lambda: levi_irreducible_char(spec, lam, nodes),
+    ):
+        counted.clear()
+        assert char().as_dict() == want
+        assert len(counted) == steps < len(w0.word)

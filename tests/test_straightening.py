@@ -290,7 +290,7 @@ def memo_walk(memo, spec, records, battery):
     for rec in records:
         w = from_word(spec, rec.w_word)
         subset = characters._check_descents(spec, w, rec.levi)
-        multiplicities = characters._levi_straightener(memo, spec, w, subset)
+        multiplicities = characters._levi_straightener(spec, w, subset, memo)
         if rec.spherical:
             out.append([multiplicities(lam)[1] for lam in battery])
         else:
@@ -313,7 +313,7 @@ def test_orbit_memo_is_transparent(type_str, monkeypatch):
     warm = memo_walk(memo, spec, records, battery)
     assert memo.entries == entries
     assert cold == warm == reference
-    # The public results, each call on its own memo, are those of no memo.
+    # The public results, each cross-check on its own memo, are those of no memo.
     public = memo_reading_results(spec)
     monkeypatch.setattr(characters, "_D_CHAR_TERMS", 0)
     assert memo_reading_results(spec) == public
@@ -321,7 +321,7 @@ def test_orbit_memo_is_transparent(type_str, monkeypatch):
 
 def test_orbit_memo_keeps_the_term_ceiling(monkeypatch):
     # A character expanded under one ceiling is never handed out under a
-    # lower one: each call expands its characters in a memo of its own.
+    # lower one: a single call keeps none of the characters it composes.
     d4 = spec_of("D4")
     w0 = longest_parabolic(d4, range(1, 5))
     rho = (1, 1, 1, 1)
@@ -401,8 +401,10 @@ def test_orbit_char_resumes_along_the_walk(type_str):
             points = [p for p in points if len(chamber_word(spec, p)) <= 8]
         rng.shuffle(points)
         for p in points:
-            want = characters._char_along_word(lay, lay.pack(lam), chamber_word(spec, p))
-            got = characters._orbit_char(memo, lay, lam, lay.pack(p))
+            want = {lay.pack(lam): 1}
+            for i in reversed(chamber_word(spec, p)):
+                want = characters._apply_op(lay, i, want)
+            got = characters._orbit_char(lay, lay.pack(p), lay.top, memo)
             assert list(got.items()) == list(want.items())
 
 
@@ -474,12 +476,12 @@ def test_witness_search_counts_zero_without_expanding_it(monkeypatch):
     monkeypatch.setattr(characters, "_straighten", refuse)
     assert witness_search(d4, w, (2, 3)) is None
     memo = characters._TermMemo()
-    multiplicities = characters._levi_straightener(memo, d4, w, (2, 3))
+    multiplicities = characters._levi_straightener(d4, w, (2, 3), memo)
     assert characters._first_witness(multiplicities, d4.rank, 2) is None
     assert not memo.entries
 
 
-@pytest.mark.parametrize(
+SINGLE_CALLS = pytest.mark.parametrize(
     "call",
     [
         lambda spec, w: is_multiplicity_free(spec, (1, 1, 1, 1), w, (2, 3)),
@@ -488,9 +490,12 @@ def test_witness_search_counts_zero_without_expanding_it(monkeypatch):
     ],
     ids=["is_multiplicity_free", "witness_search", "decompose_demazure"],
 )
+
+
+@SINGLE_CALLS
 def test_separate_calls_share_no_characters(call, monkeypatch):
-    # Each top-level call expands its characters in a memo of its own, so
-    # an identical second call runs every operator step the first ran.
+    # A single call keeps none of the characters it composes, so an
+    # identical second call runs every operator step the first ran.
     d4 = spec_of("D4")
     w = from_word(d4, (3, 2, 3, 4, 2, 1, 2))
     steps = []
@@ -506,6 +511,22 @@ def test_separate_calls_share_no_characters(call, monkeypatch):
     assert once > 0
     assert call(d4, w) == first
     assert len(steps) == 2 * once
+
+
+@SINGLE_CALLS
+def test_a_single_call_keeps_no_character(call, monkeypatch):
+    # Only a cross-check keeps the characters it composes: a single call
+    # stores none, while the same straightener on a memo stores its walk.
+    d4 = spec_of("D4")
+    w = from_word(d4, (3, 2, 3, 4, 2, 1, 2))
+    stored = []
+    monkeypatch.setattr(
+        characters._TermMemo, "put", lambda memo, key, terms: stored.append(key)
+    )
+    call(d4, w)
+    assert stored == []
+    characters._levi_straightener(d4, w, (2, 3), characters._TermMemo())((1, 1, 1, 1))
+    assert stored
 
 
 def test_characters_holds_no_module_level_memo():

@@ -349,7 +349,7 @@ def test_root_count_invariant_raises(monkeypatch):
 
 
 def test_levi_top_coefficient_invariant_raises(monkeypatch):
-    monkeypatch.setattr(characters, "_char_along_word", lambda lay, top, word: {})
+    monkeypatch.setattr(characters, "_orbit_char", lambda lay, point, head: {})
     with pytest.raises(RuntimeError, match="top coefficient"):
         levi_irreducible_char(spec_of("A2"), (1, 0), (1,))
 
