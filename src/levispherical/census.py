@@ -78,10 +78,10 @@ class CensusRecord(NamedTuple):
         """The json.dumps text of the six-field record, formatted directly.
 
         Each list is the texts of its nodes joined by ", ", and _json_line
-        lays the line out, as for the census.  A letter outside 1..rank
-        raises ValueError naming its field.
+        lays the line out, as for the census.  A field that from_json_line
+        would refuse raises the same ValueError naming it.
         """
-        _check_nodes(self.cartan_type, self.w_word, self.levi, self.d_word)
+        _check_fields(self.cartan_type, *self[1:])
         text = _node_text(self.cartan_type.rank).__getitem__
         w = ", ".join(map(text, self.w_word))
         levi = ", ".join(map(text, self.levi))
@@ -103,42 +103,29 @@ class CensusRecord(NamedTuple):
             raise ValueError(f"census line is not a JSON object: {line!r}")
         if obj.get("type") != str(spec.cartan_type):
             raise _type_mismatch(spec, obj.get("type"))
-        for name in ("w", "levi", "d"):
-            value = obj.get(name)
-            if type(value) is not list or not all(map(is_int, value)):
-                raise ValueError(
-                    f"record field {name!r} is not a list of ints: {value!r}"
-                )
-        _check_nodes(spec.cartan_type, obj["w"], obj["levi"], obj["d"])
-        length = obj.get("len")
-        if not is_int(length) or length != len(obj["w"]):
-            raise ValueError(
-                f"record field 'len' is {length!r}, not len(w) = {len(obj['w'])}"
-            )
-        if type(obj.get("spherical")) is not bool:
-            raise ValueError(
-                f"record field 'spherical' is not a bool: {obj.get('spherical')!r}"
-            )
-        return cls(
-            cartan_type=spec.cartan_type,
-            w_word=tuple(obj["w"]),
-            length=length,
-            levi=tuple(obj["levi"]),
-            d_word=tuple(obj["d"]),
-            spherical=obj["spherical"],
-        )
+        fields = [obj.get(name) for name in ("w", "len", "levi", "d", "spherical")]
+        _check_fields(spec.cartan_type, *fields)
+        w, length, levi, d, spherical = fields
+        return cls(spec.cartan_type, tuple(w), length, tuple(levi), tuple(d), spherical)
 
 
-def _check_nodes(ct: CartanType, w, levi, d) -> None:
-    """Raise ValueError naming the first of w, levi, d that holds a letter
-    outside the nodes 1..rank of ct."""
+def _check_fields(ct: CartanType, w, length, levi, d, spherical) -> None:
+    """Raise ValueError naming the first malformed field of a record of ct,
+    as from_json_line states the fields; to_json_line checks the same, so
+    it prints only lines that parse back (a list may also be a tuple)."""
     nodes = _node_text(ct.rank).keys()
     for name, word in (("w", w), ("levi", levi), ("d", d)):
+        if type(word) not in (list, tuple) or not all(map(is_int, word)):
+            raise ValueError(f"record field {name!r} is not a list of ints: {word!r}")
         if not nodes >= set(word):
             raise ValueError(
                 f"record field {name!r} holds a letter outside the nodes "
                 f"1..{ct.rank} of {ct}: {list(word)!r}"
             )
+    if not is_int(length) or length != len(w):
+        raise ValueError(f"record field 'len' is {length!r}, not len(w) = {len(w)}")
+    if type(spherical) is not bool:
+        raise ValueError(f"record field 'spherical' is not a bool: {spherical!r}")
 
 
 def _line_head(ct: CartanType) -> str:
@@ -414,9 +401,15 @@ def check_battery(spec: RootSystemSpec, battery) -> list[Weight]:
     """The battery as tuples, once it is checked nonempty and dominant integral.
 
     An empty battery would pass every spherical record without checking a
-    weight, so it raises ValueError like a weight that is not dominant.
+    weight, so it raises ValueError like a weight that is not dominant; so
+    does a battery, or a weight of it, that is not iterable.
     """
-    battery = [tuple(lam) for lam in battery]
+    try:
+        battery = [tuple(lam) for lam in battery]
+    except TypeError:
+        raise ValueError(
+            f"{spec.cartan_type} battery {battery!r} is not a list of weights"
+        ) from None
     if not battery:
         raise ValueError(f"{spec.cartan_type} battery names no weight")
     for lam in battery:

@@ -17,6 +17,10 @@ weight oracle reflects lam by the subwords of a reduced word, the type-A
 character oracle is Kohnert's rule on diagrams, and the
 invariance oracle reflects every term of a polynomial by the same weight
 reflections.
+
+The one exception is mf_at_rho_census, the loop that tests and the CI pins
+(tests/pins.py) share to compare the library's multiplicity-freeness at rho
+with its census's sphericality; it imports the library when it runs.
 """
 
 from __future__ import annotations
@@ -585,3 +589,28 @@ def sym_patterns(p, k: int) -> set[tuple[int, ...]]:
         order = sorted(sub)
         out.add(tuple(order.index(x) + 1 for x in sub))
     return out
+
+
+def mf_at_rho_census(spec):
+    """(pairs, found) over the complete all-subsets census of spec.
+
+    pairs counts the (w, I) pairs; found lists, in census order, each
+    non-spherical pair that is multiplicity-free at rho as (w_word, levi,
+    witness), with the first witness witness_search finds.  A spherical pair
+    that is not multiplicity-free at rho raises AssertionError.
+    """
+    from levispherical import (
+        census_records, from_word, is_multiplicity_free, start_census, witness_search,
+    )
+
+    rho = (1,) * spec.rank
+    pairs, found = 0, []
+    for rec in census_records(spec, start_census(spec)):
+        pairs += 1
+        w = from_word(spec, rec.w_word)
+        if bool(is_multiplicity_free(spec, rho, w, rec.levi)) == rec.spherical:
+            continue
+        if rec.spherical:
+            raise AssertionError(f"spherical {rec} is not multiplicity-free at rho")
+        found.append((rec.w_word, rec.levi, witness_search(spec, w, rec.levi)))
+    return pairs, found

@@ -16,18 +16,14 @@ from levispherical import (
     run_census,
     start_census,
 )
-from levispherical import (
-    Witness,
-    census,
-    is_multiplicity_free,
-    witness_search,
-)
+from levispherical import Witness, census
 from levispherical.cli import main
 from conftest import spec_of
 from oracles import (
     a_type_census,
     a_type_full_descent_failures,
     census_oracle,
+    mf_at_rho_census,
     sym_eval_word,
     sym_patterns,
 )
@@ -429,6 +425,35 @@ def test_record_line_rejects_letters_outside_the_nodes(field, letter):
         bad.to_json_line()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("length", 5),
+        ("length", True),
+        ("w_word", (True, 2)),
+        ("w_word", (1.0, 2)),
+        ("w_word", "12"),
+        ("levi", (True,)),
+        ("d_word", (2.0,)),
+        ("spherical", 1),
+        ("spherical", "true"),
+        ("spherical", None),
+    ],
+)
+def test_record_line_refuses_what_the_parse_refuses(field, value):
+    # One field check serves both directions: a record is printed only if
+    # its line would parse back, so a bool or float letter is never "1".
+    spec = spec_of("A2")
+    good = CensusRecord(spec.cartan_type, (1, 2), 2, (1,), (2,), True)
+    bad = good._replace(**{field: value})
+    name = {"w_word": "w", "length": "len", "levi": "levi", "d_word": "d",
+            "spherical": "spherical"}[field]
+    with pytest.raises(ValueError, match=f"field '{name}'"):
+        bad.to_json_line()
+    with pytest.raises(ValueError, match=f"field '{name}'"):
+        CensusRecord.from_json_line(spec, json.dumps(json_fields(bad)))
+
+
 def test_record_is_an_immutable_hashable_named_tuple():
     spec = spec_of("A3")
     rec = CensusRecord(spec.cartan_type, (1, 2), 2, (1,), (2,), True)
@@ -508,6 +533,14 @@ def test_cross_check_battery_validation():
             cross_check(spec, [], [(1, 1), lam])
 
 
+@pytest.mark.parametrize("battery", [[5], 5, None, [(1, 1), 3]])
+def test_cross_check_refuses_a_battery_that_is_not_a_list_of_weights(battery):
+    spec = spec_of("A2")
+    records = list(census_records(spec, start_census(spec)))
+    with pytest.raises(ValueError, match=r"A2 battery .* is not a list of weights"):
+        cross_check(spec, records, battery)
+
+
 def test_cross_check_refuses_records_of_another_type(monkeypatch):
     # B4 and C4 records have the same shape, so only the type tells them
     # apart; the check must come before any B4 character is expanded.
@@ -524,14 +557,9 @@ def test_cross_check_refuses_records_of_another_type(monkeypatch):
 @pytest.mark.parametrize("type_str, pairs", [("A3", 75), ("A4", 541), ("D4", 865)])
 def test_mf_at_rho_is_sphericality_on_small_simply_laced_types(type_str, pairs):
     # An observation, not a theorem: on these complete all-subsets censuses
-    # is_multiplicity_free at lambda = rho decides every pair.
-    spec = spec_of(type_str)
-    rho = (1,) * spec.rank
-    records = list(census_records(spec, start_census(spec)))
-    assert len(records) == pairs
-    for rec in records:
-        w = from_word(spec, rec.w_word)
-        assert bool(is_multiplicity_free(spec, rho, w, rec.levi)) == rec.spherical, rec
+    # is_multiplicity_free at lambda = rho decides every pair (a spherical
+    # pair that is not multiplicity-free raises in mf_at_rho_census).
+    assert mf_at_rho_census(spec_of(type_str)) == (pairs, [])
 
 
 # The non-spherical pairs (w, I) that are multiplicity-free at rho, each with
@@ -602,15 +630,7 @@ MF_AT_RHO_NOT_SPHERICAL = {
 
 @pytest.mark.parametrize("type_str", sorted(MF_AT_RHO_NOT_SPHERICAL))
 def test_non_spherical_pairs_mf_at_rho_are_pinned(type_str):
-    spec = spec_of(type_str)
-    rho = (1,) * spec.rank
-    found = []
-    for rec in census_records(spec, start_census(spec)):
-        w = from_word(spec, rec.w_word)
-        mf = bool(is_multiplicity_free(spec, rho, w, rec.levi))
-        assert mf or not rec.spherical, rec
-        if mf and not rec.spherical:
-            found.append((rec.w_word, rec.levi, witness_search(spec, w, rec.levi)))
+    _, found = mf_at_rho_census(spec_of(type_str))
     assert found == MF_AT_RHO_NOT_SPHERICAL[type_str]
 
 
