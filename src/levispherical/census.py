@@ -41,8 +41,7 @@ from .weyl import (
     DEFAULT_ENUM_CAP,
     _elements,
     _layout,
-    _w0_action,
-    _w0_word,
+    _w0,
     capped_group_order,
     classical_group_order,
     from_word,
@@ -237,10 +236,10 @@ def _census_rows(
     The refusal, the counting and the sink writes are all here; fill_census
     drains this stream and builds no record.  The census reads the raw
     (packed w(rho), word) pairs of weyl._elements and builds no WeylElement.
-    The word of w comes with its pair and that of w_0(I) from weyl._w0_word,
-    so neither is stripped.  The kernel that classify uses, _split, maps
-    w(rho) to d(rho) by the linear action of w_0(I) from weyl._w0_action,
-    |I| field steps, and strips d only over its leading nodes: it walks
+    The word of w comes with its pair, and w_0(I) is its length and map from
+    weyl._w0, so nothing is stripped but d.  The kernel that classify uses,
+    _split, maps w(rho) to d(rho) by that map, |I| field steps, and strips d
+    only over its leading nodes: it walks
     d(rho) over J = {1..k}, k = max(rank - 3, 0), to the element z without
     left descents in J, and takes the rest of the word from a table of
     those z, keyed by the packed z(rho) and filled as they stream by.  z is
@@ -252,7 +251,7 @@ def _census_rows(
     subsets come from the negative coordinates of w(rho), so they need no
     validation.  A second table, keyed by the clear sign bits of the packed
     w(rho), that is by the descent set, holds each descent set's subsets
-    with the text, the w_0(I) word and the w_0(I) action of each, so a line
+    with the text and the weyl._w0 of each, so a line
     joins the text of w once per element; _json_line lays it out, as for
     CensusRecord.to_json_line.
     """
@@ -267,8 +266,8 @@ def _census_rows(
     tails: dict[int, tuple[tuple[int, ...], Optional[str]]] = {}
     text = _node_text(spec.rank).__getitem__
     line_head = _line_head(spec.cartan_type)
-    # clear sign bits -> (I, text of I, word of w_0(I), its action) per
-    # subset, in census order
+    # clear sign bits -> (I, text of I, weyl._w0 of I) per subset, in
+    # census order
     levis: dict[int, list[tuple]] = {}
     w_text = None
     for wt, w_word in _elements(spec, summary.group_order):
@@ -287,14 +286,8 @@ def _census_rows(
             size = 1 << len(descents)
             for mask in (size - 1,) if full else range(size):
                 subset = tuple(d for b, d in enumerate(descents) if mask >> b & 1)
-                subsets.append(
-                    (
-                        subset,
-                        ", ".join(map(text, subset)),
-                        _w0_word(spec, subset),
-                        _w0_action(spec, subset),
-                    )
-                )
+                levi_text = ", ".join(map(text, subset))
+                subsets.append((subset, levi_text, _w0(lay, subset)))
         per = by_length.get(length)
         if per is None:
             per = {"elements": 0, "pairs": 0, "spherical": 0}
@@ -302,10 +295,8 @@ def _census_rows(
         per["elements"] += 1
         # An element is toric iff w itself is a standard Coxeter element.
         summary.toric_count += length == len(set(w_word))
-        for subset, levi_text, w0i_word, w0i_action in subsets:
-            y, (tail, tail_text) = _split(
-                lay, wt, w_word, subset, w0i_word, w0i_action, head, tails
-            )
+        for subset, levi_text, w0i in subsets:
+            y, (tail, tail_text) = _split(lay, wt, w_word, subset, w0i, head, tails)
             d_word = y + tail
             spherical = len(d_word) == len(set(d_word))
             per["pairs"] += 1
@@ -402,20 +393,28 @@ def check_battery(spec: RootSystemSpec, battery) -> list[Weight]:
 
     An empty battery would pass every spherical record without checking a
     weight, so it raises ValueError like a weight that is not dominant; so
-    does a battery, or a weight of it, that is not iterable.
+    does a battery, or a weight of it, that is not iterable, or that is a
+    str, bytes or bytearray, whose items are characters or byte values.
     """
+    text = (str, bytes, bytearray)
     try:
-        battery = [tuple(lam) for lam in battery]
+        if isinstance(battery, text):
+            raise TypeError
+        weights = []
+        for lam in battery:
+            if isinstance(lam, text):
+                raise TypeError
+            weights.append(tuple(lam))
     except TypeError:
         raise ValueError(
             f"{spec.cartan_type} battery {battery!r} is not a list of weights"
         ) from None
-    if not battery:
+    if not weights:
         raise ValueError(f"{spec.cartan_type} battery names no weight")
-    for lam in battery:
+    for lam in weights:
         if len(lam) != spec.rank or not all(is_int(x) and x >= 0 for x in lam):
             raise ValueError(f"{spec.cartan_type} battery weight {lam} is not dominant")
-    return battery
+    return weights
 
 
 def cross_check(
@@ -443,7 +442,9 @@ def cross_check(
     elements and 0.05 above that.  The battery and the rate are checked
     (ValueError) before the first record is read, and each record's Cartan
     type before any work on it, so records may be the live census_records
-    stream, which a failure stops at its record.
+    stream, which a failure stops at its record.  A stream that ends with no
+    record sampled has checked nothing, so it raises ValueError naming
+    records_seen and the rate, and no report is returned.
     """
     battery = check_battery(spec, battery)
     if sample is None:
@@ -474,4 +475,9 @@ def cross_check(
                 report.witness_inconclusive += 1
             else:
                 report.witness_found += 1
+    if not report.sampled:
+        raise ValueError(
+            f"cross-check sampled none of {report.records_seen} records at rate "
+            f"{sample}; nothing was checked"
+        )
     return report

@@ -109,7 +109,7 @@ from .weyl import (
     WeylElement,
     _Layout,
     _layout,
-    _w0_word,
+    _w0,
     apply_word,
     reduced_word,
 )
@@ -497,7 +497,7 @@ def levi_irreducible_char(spec: RootSystemSpec, mu, levi) -> WeightPoly:
         )
     lay = _weight_layout(spec, _reach((mu,)))
     top = lay.pack(mu)
-    point = lay.apply(_w0_word(spec, subset), top)
+    point = lay.act(_w0(lay, subset)[1], top)
     terms = _orbit_char(lay, point, lay.mask(subset))
     if terms.get(top) != 1:
         raise RuntimeError(
@@ -662,7 +662,6 @@ def _levi_straightener(
     not s_i-invariant, raises NotLeviCharacter.
     """
     w_word = reduced_word(spec, w)
-    w0i_word = _w0_word(spec, subset)
 
     def multiplicities(lam: Weight) -> tuple[_Layout, dict[int, int]]:
         lay = _weight_layout(spec, max(lam))
@@ -674,7 +673,7 @@ def _levi_straightener(
                     f"the Demazure character is not s_{i}-invariant: "
                     f"coordinate {i} of w(lambda) = {image} is positive"
                 )
-        point = lay.apply(w0i_word, point)
+        point = lay.act(_w0(lay, subset)[1], point)
         return lay, _straighten(lay, _orbit_char(lay, point, lay.top, memo), subset)
 
     return multiplicities

@@ -4,7 +4,8 @@ Every subcommand takes --type (e.g. A5, D4, e6; case-insensitive) and emits
 a single JSON document on stdout, except census, which streams JSON lines
 (records, then a summary, then a cross-check report if a battery was given).
 The cross-check reads each record as it is written, so a failed check ends
-the stream at that record, with no summary.  Diagnostics go to stderr only.
+the stream at that record, with no summary; one that sampled no record fails
+the same way once the stream ends.  Diagnostics go to stderr only.
 --pretty switches to a human-readable rendering.
 
 Words and node subsets are whitespace- or comma-separated 1-based indices
@@ -49,7 +50,7 @@ from .characters import (
     is_multiplicity_free,
     witness_search,
 )
-from .rootsys import RootSystemSpec, build_root_system
+from .rootsys import RootSystemSpec, build_root_system, validate_node_subset
 from .sphericality import classify, classify_toric
 from .weyl import (
     DEFAULT_ENUM_CAP,
@@ -179,7 +180,7 @@ def _cmd_mf_check(args, spec, w, lam, levi) -> int:
             "type": str(spec.cartan_type),
             "weight": list(lam),
             "w_word": list(reduced_word(spec, w)),
-            "levi": list(levi),
+            "levi": list(validate_node_subset(spec, levi)),
             "multiplicity_free": chk.multiplicity_free,
             "witness_mu": None if chk.witness is None else list(chk.witness),
             "multiplicity": chk.multiplicity,

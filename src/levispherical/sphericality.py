@@ -29,8 +29,7 @@ from .weyl import (
     _Layout,
     _check_element,
     _layout,
-    _w0_action,
-    _w0_word,
+    _w0,
     is_standard_coxeter,
     left_descents,
 )
@@ -100,18 +99,16 @@ def _split(
     rho_image: int,
     w_word: tuple[int, ...],
     subset: tuple[int, ...],
-    w0i_word: tuple[int, ...],
-    w0i_action: tuple[tuple[int, int], ...],
+    w0i: tuple[int, tuple[tuple[int, int], ...]],
     head: int,
     tails: Mapping[int, tuple[tuple[int, ...], Optional[str]]],
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], Optional[str]]]:
     """The word of d = w_0(I) w, as a walked prefix and a tail entry.
 
     rho_image is w(rho) packed by lay, the weyl._layout of the root system;
-    subset is a validated I inside the left descent set of w, w0i_word the
-    canonical word of w_0(I) from weyl._w0_word, and w0i_action w_0(I) as
-    the linear map of weyl._w0_action, which gives d(rho) in |I| steps;
-    no w_0(I) is built or stripped.  head holds the sign bits of an initial
+    subset is a validated I inside the left descent set of w, and w0i the
+    pair weyl._w0(lay, subset): the length of w_0(I) and its linear map,
+    which gives d(rho) in |I| steps; no w_0(I) is built or stripped.  head holds the sign bits of an initial
     segment J = {1..k} of the nodes.  d factors as y z with y in W_J and z
     without left descents in J, lengths adding (Bjorner-Brenti, Prop.
     2.4.4); every node of J is smaller than every other, so the canonical
@@ -123,7 +120,9 @@ def _split(
     unless length(w) = length(w_0(I)) + length(d), and RuntimeError if
     tails lacks z.
     """
-    # w_0(I) is an involution, so d = w_0(I)^{-1} w = w_0(I) w.
+    w0i_length, w0i_action = w0i
+    # w_0(I) is an involution, so d = w_0(I)^{-1} w = w_0(I) w.  This is
+    # lay.act inline: the call would cost census-e6 1.4% (BENCH_30.json).
     field, bias = lay.field, lay.bias
     d = rho_image
     for s, b in w0i_action:
@@ -135,10 +134,10 @@ def _split(
             f"no tail word for {lay.unpack(z)}, where the walk of d = "
             f"w_0({list(subset)}) {w_word} over the leading nodes stops"
         )
-    if len(w_word) != len(w0i_word) + len(y) + len(tail[0]):
+    if len(w_word) != w0i_length + len(y) + len(tail[0]):
         raise LengthAdditivityError(
             f"length({w_word}) = {len(w_word)} but length(w_0({list(subset)})) + "
-            f"length(d) = {len(w0i_word)} + {len(y) + len(tail[0])}"
+            f"length(d) = {w0i_length} + {len(y) + len(tail[0])}"
         )
     return y, tail
 
@@ -151,17 +150,10 @@ def classify(spec: RootSystemSpec, w: WeylElement, levi) -> ClassificationResult
     """
     subset = _check_descents(spec, w, levi)
     w_word = w.word
-    w0i_word = _w0_word(spec, subset)
     lay = _layout(spec)
+    w0i = _w0(lay, subset)
     d_word, _ = _split(
-        lay,
-        w.packed,
-        w_word,
-        subset,
-        w0i_word,
-        _w0_action(spec, subset),
-        lay.top,
-        {lay.rho: ((), "")},
+        lay, w.packed, w_word, subset, w0i, lay.top, {lay.rho: ((), "")}
     )
     support_d = tuple(sorted(set(d_word)))
     return ClassificationResult(
@@ -171,7 +163,7 @@ def classify(spec: RootSystemSpec, w: WeylElement, levi) -> ClassificationResult
         d_word=d_word,
         support_d=support_d,
         len_w=len(w_word),
-        len_w0I=len(w0i_word),
+        len_w0I=w0i[0],
         len_d=len(d_word),
         spherical=len(d_word) == len(support_d),
     )

@@ -36,14 +36,14 @@ stored plus the bias B = 2**(bits - 1) > bound, so every field lies in
   alpha_j in weight coordinates, unbiased,
 * a group element x acts by one such subtraction per node j whose omega_j
   it moves, with omega_j - x(omega_j) packed in place of A_j and every
-  field read from P, so w_0(I) takes |I| of them (_w0_action).
+  field read from P, so w_0(I) takes |I| of them (_w0, _Layout.act).
 _layout(spec) is the layout of w(rho): each coordinate of w(rho) is
 <rho, beta^vee> for a coroot beta^vee, plus or minus its height, so its
 absolute value is at most H = h - 1, h = 2|Phi+|/rank the Coxeter number,
 and H is its bound.  E6 packs into 30 bits, E7 into 42, E8 into 48 and B50
 into 400.  The packing holds only the orbit of rho, so a WeylElement is
-built only here, by _element, from a word applied to rho or from the
-enumeration; it holds the packed int alone, and its word is stripped from
+built only here, by _element, from a word or w_0(I) applied to rho or from
+the enumeration; it holds the packed int alone, and its word is stripped from
 it when read.  The characters module packs its weights by
 _layout(spec, bound) with the wider bound its computation reaches; pack
 refuses a weight outside the bound, whose fields would wrap.  apply_word
@@ -205,6 +205,19 @@ class _Layout:
             p -= (((p >> s) & field) - bias) * a
         return p
 
+    def act(self, action: Sequence[tuple[int, int]], p: int) -> int:
+        """w_0(I)(p) for action the map of _w0 and p any packed weight.
+
+        Every field is read from p itself, never from a partial sum, so the
+        |I| steps are exact, the packing being affine, whenever w_0(I)(p)
+        lies within the bound.
+        """
+        field, bias = self.field, self.bias
+        q = p
+        for s, b in action:
+            q -= (((p >> s) & field) - bias) * b
+        return q
+
     def walk(self, p: int, head: int) -> tuple[tuple[int, ...], int]:
         """The chamber walk of p over the nodes whose sign bits head holds.
 
@@ -301,54 +314,40 @@ def left_descents(spec: RootSystemSpec, w: WeylElement) -> frozenset[int]:
     return frozenset(lay.nodes(lay.top & ~w.packed))
 
 
-@lru_cache(maxsize=None)
-def _w0_word(spec: RootSystemSpec, subset: tuple[int, ...]) -> tuple[int, ...]:
-    """The canonical word of w_0(I), for a validated I: the walk of -rho over I.
+# Counted traffic: the perfbench E8 queries make 162 (layout, I) keys of a
+# possible 256, and no CI pin more than 190 (the E6 battery census).
+@lru_cache(maxsize=1024)
+def _w0(lay: _Layout, subset: tuple[int, ...]) -> tuple[int, tuple]:
+    """The length of w_0(I) and its map for lay.act, for a validated I.
 
     w_0(I) takes -rho into the I-dominant chamber, so the walk of -rho over I
     ends at -w_0(I)(rho).  The I-coordinates of -rho and of w_0(I)(rho) are
     all -1, the walk reads only those, and the strip of w_0(I)(rho) never
     meets a negative coordinate outside I; so the walk's letters are the
-    canonical word of w_0(I), and no element is built or stripped.  Keyed
-    by (spec, subset): at most 2**rank entries per type.
+    canonical word of w_0(I), and no element is built or stripped.  The map
+    is a pair (s_j, B_j) per j in I: B_j is omega_j - w_0(I)(omega_j)
+    packed, unbiased, and s_j the shift of node j; w_0(I) fixes omega_j for
+    j outside I.  The word, applied to omega_j, makes B_j and is not kept;
+    the orbits of rho and omega_j stay within h - 1, the least bound.
     """
-    lay = _layout(spec)
     # 2 * top - p packs the negative of the weight that p packs.
-    return lay.walk(2 * lay.top - lay.rho, lay.mask(subset))[0]
-
-
-@lru_cache(maxsize=None)
-def _w0_action(
-    spec: RootSystemSpec, subset: tuple[int, ...]
-) -> tuple[tuple[int, int], ...]:
-    """w_0(I) as a linear map on packed w(rho): a pair (s_j, B_j) per j in I.
-
-    B_j is omega_j - w_0(I)(omega_j) packed, unbiased, and s_j the shift of
-    node j; w_0(I) fixes omega_j for j outside I.  So for p packing a weight
-    of the orbit of rho, w_0(I)(p) = p - sum over the pairs of
-    (((p >> s_j) & field) - bias) * B_j, every field read from p itself:
-    |I| steps, not the length of w_0(I).  The packing is affine in the
-    coordinates and no partial sum is read, so the arithmetic is exact
-    whatever the fields of a partial sum hold.  Each B_j comes from the word
-    of _w0_word applied to omega_j, whose orbit has its coordinates within
-    the bound.  For a validated I, keyed as _w0_word.
-    """
-    lay = _layout(spec)
-    word = _w0_word(spec, subset)
+    word = lay.walk(2 * lay.top - lay.rho, lay.mask(subset))[0]
     action = []
     for j in subset:
         s = lay.shifts[j - 1]
         omega = lay.top + (1 << s)
         action.append((s, omega - lay.apply(word, omega)))
-    return tuple(action)
+    return len(word), tuple(action)
 
 
 def longest_parabolic(spec: RootSystemSpec, nodes) -> WeylElement:
     """The longest element w_0(I) of the standard parabolic subgroup W_I.
 
-    The element of the memoised word _w0_word; each call builds a new one.
+    The map of _w0 applied to rho; each call builds a new element.
     """
-    return from_word(spec, _w0_word(spec, validate_node_subset(spec, nodes)))
+    lay = _layout(spec)
+    action = _w0(lay, validate_node_subset(spec, nodes))[1]
+    return _element(spec, lay.act(action, lay.rho))
 
 
 def is_standard_coxeter(spec: RootSystemSpec, d: WeylElement) -> bool:

@@ -541,6 +541,29 @@ def test_cross_check_refuses_a_battery_that_is_not_a_list_of_weights(battery):
         cross_check(spec, records, battery)
 
 
+@pytest.mark.parametrize("battery", ["rho", b"11", ["11"], [(1, 1), b"11"]])
+def test_cross_check_refuses_text_as_a_battery_or_a_weight(battery):
+    # A str or bytes iterates as its characters or byte values, which read
+    # as weights: b"11" would be the dominant weight (49, 49).
+    spec = spec_of("A2")
+    with pytest.raises(ValueError, match=r"^A2 battery .* is not a list of weights$"):
+        cross_check(spec, [], battery)
+
+
+def test_cross_check_that_samples_no_record_refuses():
+    # A cross-check that samples nothing has checked nothing: no report.
+    spec = spec_of("A2")
+    records = list(census_records(spec, start_census(spec)))
+    for stream, rate, seen in ((records, 1e-9, 13), ([], 1.0, 0), (iter(()), None, 0)):
+        with pytest.raises(ValueError) as exc:
+            cross_check(spec, stream, [(1, 1)], sample=rate)
+        rate = 1.0 if rate is None else rate
+        assert str(exc.value) == (
+            f"cross-check sampled none of {seen} records at rate {rate}; "
+            "nothing was checked"
+        )
+
+
 def test_cross_check_refuses_records_of_another_type(monkeypatch):
     # B4 and C4 records have the same shape, so only the type tells them
     # apart; the check must come before any B4 character is expanded.

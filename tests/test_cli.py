@@ -111,6 +111,16 @@ def test_mf_check_counterexample(capsys):
     assert doc["multiplicity"] == 2
 
 
+def test_mf_check_prints_the_validated_levi(capsys):
+    # The subset computed over, sorted and deduplicated, as classify prints it.
+    word = ["--type", "D4", "--word", "3 2 3 4 2 1 2"]
+    doc = run_json(
+        capsys, "mf-check", *word, "--weight", "1 1 1 1", "--levi", "3,2,2"
+    )
+    classified = run_json(capsys, "classify", *word, "--levi", "3,2,2")
+    assert doc["levi"] == classified["levi"] == [2, 3]
+
+
 def test_witness_found(capsys):
     doc = run_json(
         capsys, "witness", "--type", "D4", "--word", "3 2 3 4 2 1 2",

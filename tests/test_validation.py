@@ -180,6 +180,24 @@ def test_cross_check_rejects_a_sample_rate_that_is_not_real(rate):
         cross_check(a2, [], [(1, 1)], sample=rate)
 
 
+def test_census_that_samples_no_record_exits_one(capsys, tmp_path):
+    # The records are written as they stream; the refusal comes at the end
+    # of the stream, so no summary or report follows them.
+    argv = ["census", "--type", "A2", "--battery", "rho", "--sample", "1e-9"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 13 and all('"spherical"' in line for line in lines)
+    assert err == (
+        "error: cross-check sampled none of 13 records at rate 1e-09; "
+        "nothing was checked\n"
+    )
+    target = tmp_path / "records.jsonl"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (1, "")
+    assert target.read_text().splitlines() == lines
+
+
 def test_census_negative_sample_exits_one(capsys):
     code, out, err = run_cli(
         capsys, "census", "--type", "A2", "--battery", "rho", "--sample", "-3"

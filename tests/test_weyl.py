@@ -11,6 +11,7 @@ from levispherical import (
     CapExceeded,
     WordLetterError,
     classical_group_order,
+    classify,
     enumerate_group,
     from_word,
     identity,
@@ -457,5 +458,29 @@ def test_longest_parabolic_matches_the_list_walk_of_minus_rho(type_str):
             out = [-1] * spec.rank
             word = chamber_walk(spec, out, [i in subset for i in nodes])
             w0 = longest_parabolic(spec, subset)
-            assert weyl._w0_word(spec, subset) == w0.word == tuple(word)
+            assert w0.word == tuple(word)
+            assert weyl._w0(weyl._layout(spec), subset)[0] == len(word)
             assert w0.rho_image == tuple(-x for x in out)
+
+
+def test_w0_memo_is_bounded():
+    # One element classified over more subsets than the memo of w_0(I) holds:
+    # the memo evicts, and never grows past its bound.
+    spec = spec_of("A12")
+    nodes = range(1, spec.rank + 1)
+    w0 = longest_parabolic(spec, nodes)
+    maxsize = weyl._w0.cache_info().maxsize
+    assert maxsize is not None
+    subsets = itertools.islice(
+        itertools.chain.from_iterable(
+            itertools.combinations(nodes, k) for k in range(spec.rank + 1)
+        ),
+        maxsize + 100,
+    )
+    weyl._w0.cache_clear()
+    for subset in subsets:
+        res = classify(spec, w0, subset)
+        assert res.len_w0I + res.len_d == res.len_w == 78
+    info = weyl._w0.cache_info()
+    assert info.misses == maxsize + 100
+    assert info.currsize == maxsize

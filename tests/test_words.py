@@ -1,8 +1,8 @@
 """Canonical words, stripped from w(rho) or spelled by the census; record text.
 
 An element holds only its packed w(rho) and strips its word when read; the
-census reads each word of w from the enumeration stream and each word of
-w_0(I) from weyl._w0_word, and strips only d, over its leading nodes.
+census reads each word of w from the enumeration stream and each length
+of w_0(I) from weyl._w0, and strips only d, over its leading nodes.
 """
 
 import itertools
@@ -21,7 +21,7 @@ from levispherical import (
 )
 from levispherical.census import CensusRecord
 from conftest import random_word, spec_of
-from oracles import chamber_word, longest_parabolic_ascent
+from oracles import chamber_walk, chamber_word, longest_parabolic_ascent
 
 
 @pytest.mark.parametrize("type_str", ["A4", "B4", "D4", "F4", "G2", "E6"])
@@ -60,7 +60,7 @@ def test_census_strips_only_d_and_each_w0_once(monkeypatch):
     counting(census, "_split")
     monkeypatch.setattr(weyl.WeylElement, "word", property(reading_word))
     monkeypatch.setattr(weyl._Layout, "walk", walking)
-    weyl._w0_word.cache_clear()
+    weyl._w0.cache_clear()
     summary = run_census(spec)
     assert summary.pair_count == 5089
     # The kernel derives d once per record.  It walks d(rho) over the leading
@@ -98,11 +98,12 @@ def test_census_d_word_is_the_full_strip(type_str, levi_mode):
 def test_longest_parabolic_carries_its_canonical_word(type_str):
     spec = spec_of(type_str)
     n = spec.rank
-    weyl._w0_word.cache_clear()
+    lay = weyl._layout(spec)
+    weyl._w0.cache_clear()
     for k in range(n + 1):
         for subset in itertools.combinations(range(1, n + 1), k):
             w0 = longest_parabolic(spec, subset)
-            assert weyl._w0_word(spec, subset) == w0.word
+            assert weyl._w0(lay, subset)[0] == len(w0.word)
             assert w0.word == chamber_word(spec, w0.rho_image)
             assert w0.rho_image == longest_parabolic_ascent(
                 spec.cartan_matrix, subset
@@ -144,11 +145,14 @@ def test_w0_action_is_the_word_of_w0(type_str):
         subsets = [(), tuple(nodes), (1,), (n,), (n - 1, n), tuple(range(1, n, 2))]
         subsets += [tuple(sorted(rng.sample(nodes, k))) for k in (3, 10, 25)]
     for subset in subsets:
-        word = weyl._w0_word(spec, subset)
-        action = weyl._w0_action(spec, subset)
+        # The list walk of -rho over I spells w_0(I).
+        word = tuple(chamber_walk(spec, [-1] * n, [i in subset for i in nodes]))
+        length, action = weyl._w0(lay, subset)
+        assert length == len(word)
         assert len(action) == len(subset)
         for p in points:
             assert _act(lay, action, p) == lay.apply(word, p), (subset, p)
+            assert lay.act(action, p) == _act(lay, action, p), (subset, p)
 
 
 @pytest.mark.parametrize("type_str", ["B3", "G2"])
