@@ -32,7 +32,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .characters import DEFAULT_WITNESS_CAP, Weight, _TermMemo
 from .characters import _first_repeat, _first_witness, _levi_straightener
-from .rootsys import CartanType, RootSystemSpec, is_int
+from .rootsys import CartanType, RootSystemSpec, is_int, is_ordered
 from .sphericality import _check_descents, _split
 # Not called here: perfbench/test_perfbench.py checks that its tracer rebinds
 # census.classify, so the name stays until that test changes.
@@ -114,7 +114,7 @@ def _check_fields(ct: CartanType, w, length, levi, d, spherical) -> None:
     it prints only lines that parse back (a list may also be a tuple)."""
     nodes = _node_text(ct.rank).keys()
     for name, word in (("w", w), ("levi", levi), ("d", d)):
-        if type(word) not in (list, tuple) or not all(map(is_int, word)):
+        if not is_ordered(word) or not all(map(is_int, word)):
             raise ValueError(f"record field {name!r} is not a list of ints: {word!r}")
         if not nodes >= set(word):
             raise ValueError(
@@ -393,22 +393,14 @@ def check_battery(spec: RootSystemSpec, battery) -> list[Weight]:
 
     An empty battery would pass every spherical record without checking a
     weight, so it raises ValueError like a weight that is not dominant; so
-    does a battery, or a weight of it, that is not iterable, or that is a
-    str, bytes or bytearray, whose items are characters or byte values.
+    does a battery, or a weight of it, that is not exactly a list or tuple
+    (rootsys.is_ordered).
     """
-    text = (str, bytes, bytearray)
-    try:
-        if isinstance(battery, text):
-            raise TypeError
-        weights = []
-        for lam in battery:
-            if isinstance(lam, text):
-                raise TypeError
-            weights.append(tuple(lam))
-    except TypeError:
+    if not (is_ordered(battery) and all(map(is_ordered, battery))):
         raise ValueError(
             f"{spec.cartan_type} battery {battery!r} is not a list of weights"
-        ) from None
+        )
+    weights = list(map(tuple, battery))
     if not weights:
         raise ValueError(f"{spec.cartan_type} battery names no weight")
     for lam in weights:
@@ -430,9 +422,11 @@ def cross_check(
     Spherical records must be multiplicity-free for every battery weight;
     any failure raises InconsistencyError naming (w, I, lambda, mu).
     Non-spherical records are searched for a witness as witness_search
-    searches at its default coefficient cap; not finding a witness within
-    the character budget (the lambda budget and term ceiling of the
-    characters module) is counted as inconclusive, not an error.  Each
+    searches at its default coefficient cap; a search that tries every
+    lambda of the lambda budget without a witness is counted as
+    inconclusive, not an error, and one that skipped a lambda past the term
+    ceiling without a witness raises CharacterBudgetExceeded, as a spherical
+    record whose character passes the ceiling does.  Each
     sampled record is checked against its descents once, and one
     straightener serves all its weights; one memo of orbit characters
     serves the whole stream.

@@ -101,6 +101,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 from .rootsys import (
     RootSystemSpec,
     is_int,
+    is_ordered,
     node_index,
     validate_node_subset,
 )
@@ -146,6 +147,13 @@ def weight_sort_key(wt: Weight) -> tuple[int, Weight]:
     return (sum(wt), wt)
 
 
+def _ordered(wt) -> Weight:
+    """wt as a tuple; ValueError unless it is exactly a list or tuple."""
+    if not is_ordered(wt):
+        raise ValueError(f"weight {wt!r} is not a list or tuple")
+    return tuple(wt)
+
+
 class WeightPoly:
     """A finite integer combination of weights, immutable once built.
 
@@ -159,7 +167,7 @@ class WeightPoly:
 
     @classmethod
     def monomial(cls, wt: Weight) -> "WeightPoly":
-        return cls({tuple(wt): 1})
+        return cls({_ordered(wt): 1})
 
     @classmethod
     def _wrap(cls, terms: dict[Weight, int]) -> "WeightPoly":
@@ -168,7 +176,7 @@ class WeightPoly:
         return poly
 
     def coeff(self, wt: Weight) -> int:
-        return self._terms.get(tuple(wt), 0)
+        return self._terms.get(_ordered(wt), 0)
 
     def items(self):
         return self._terms.items()
@@ -236,32 +244,27 @@ class Witness(NamedTuple):
 
 
 def _check_weight(spec: RootSystemSpec, wt) -> Weight:
-    try:
-        wt = tuple(wt)
-    except TypeError:  # not iterable: reported below like any other miss
-        pass
-    if type(wt) is not tuple or len(wt) != spec.rank or not all(map(is_int, wt)):
+    if not is_ordered(wt) or len(wt) != spec.rank or not all(map(is_int, wt)):
         raise ValueError(
             f"weight {wt!r} is not an integer vector of rank {spec.rank}"
         )
-    return wt
+    return tuple(wt)
 
 
 def _check_weights(spec: RootSystemSpec, weights) -> None:
     """_check_weight on every weight of a collection.
 
-    One pass over plain-int tuples of the right length; on any miss the
-    per-weight loop runs, so the error names the first bad weight.
+    Set passes check that every weight is a tuple proper of rank plain ints;
+    on any miss the per-weight loop runs, so the error names the first bad
+    weight.
     """
-    try:
-        if set(map(len, weights)) <= {spec.rank} and set(
-            map(type, chain.from_iterable(weights))
-        ) <= {int}:
-            return
-    except TypeError:
-        pass
-    for wt in weights:
-        _check_weight(spec, wt)
+    if not (
+        set(map(type, weights)) <= {tuple}
+        and set(map(len, weights)) <= {spec.rank}
+        and set(map(type, chain.from_iterable(weights))) <= {int}
+    ):
+        for wt in weights:
+            _check_weight(spec, wt)
 
 
 def _check_dominant(spec: RootSystemSpec, lam) -> Weight:
@@ -739,18 +742,27 @@ def _first_witness(multiplicities, rank: int, coeff_cap: int) -> Optional[Witnes
     """The lam loop of witness_search over multiplicities, a _levi_straightener.
 
     Tries the weights of _dominant_weights_graded after lam = 0, within
-    DEFAULT_LAMBDA_BUDGET, and skips a lam whose character passes the term
-    ceiling; None when no lam has a multiplicity >= 2.
+    DEFAULT_LAMBDA_BUDGET, and skips and counts a lam whose character passes
+    the term ceiling.  The first witness is returned, after skips or not.
+    With none, the search is inconclusive: None when every lam was tried,
+    and CharacterBudgetExceeded naming the count when some were skipped.
     """
     weights = _dominant_weights_graded(rank, coeff_cap, DEFAULT_LAMBDA_BUDGET)
+    skipped = 0
     for lam in islice(weights, 1, None):
         try:
             lay, mults = multiplicities(lam)
         except CharacterBudgetExceeded:
+            skipped += 1
             continue
         mu, m = _first_repeat(lay, mults)
         if mu is not None:
             return Witness(lam, mu, m)
+    if skipped:
+        raise CharacterBudgetExceeded(
+            f"witness search inconclusive: {skipped} of {len(weights) - 1} "
+            f"weights lambda passed the {DEFAULT_TERM_CEILING}-term ceiling"
+        )
     return None
 
 
@@ -770,8 +782,10 @@ def witness_search(
     at d(lam), d = w_0(I) w.  The search reads the one lambda budget and the
     one term ceiling of this module when it runs, the same pair that every
     character path and command obeys: it tries at most DEFAULT_LAMBDA_BUDGET
-    weights and skips a lam whose character passes DEFAULT_TERM_CEILING.
-    Exhausting the budget returns None, which is inconclusive: it is NOT a
+    weights and skips a lam whose character passes DEFAULT_TERM_CEILING.  A
+    witness found after skips is returned.  Without one, a search that
+    skipped any lam raises CharacterBudgetExceeded naming how many; one that
+    tried every lam returns None.  None is inconclusive: it is NOT a
     certificate of multiplicity-freeness.  A coeff_cap that is not an int
     (bool included) is rejected with ValueError, and so is one below 1,
     which would try nothing: a cap of 0 holds only lam = 0.

@@ -248,6 +248,15 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def is_ordered(x) -> bool:
+    """Exactly a list or tuple: the one form of a word, a weight or a battery.
+
+    A set, dict or generator has no order its caller wrote, and a str or
+    bytes iterates as characters, so each is refused, not read in order.
+    """
+    return type(x) in (list, tuple)
+
+
 def node_index(spec: RootSystemSpec, i) -> int:
     """The 0-based index of node i; ValueError unless i is an int in 1..rank."""
     if not is_int(i):

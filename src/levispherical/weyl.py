@@ -61,6 +61,7 @@ from typing import Iterable, Iterator, Sequence
 from .rootsys import (
     RootSystemSpec,
     is_int,
+    is_ordered,
     validate_node_subset,
 )
 
@@ -257,12 +258,14 @@ def simple_reflection(spec: RootSystemSpec, i: int) -> WeylElement:
     return from_word(spec, (i,))
 
 
-def from_word(spec: RootSystemSpec, word: Iterable[int]) -> WeylElement:
-    """Evaluate a word in the generators, s_{i1} s_{i2} ... s_{ik}."""
-    try:
-        word = tuple(word)
-    except TypeError:
-        raise WordLetterError(f"word {word!r} is not a sequence of letters") from None
+def from_word(spec: RootSystemSpec, word: Sequence[int]) -> WeylElement:
+    """Evaluate a word in the generators, s_{i1} s_{i2} ... s_{ik}.
+
+    The word is exactly a list or tuple (rootsys.is_ordered); anything else
+    raises WordLetterError, as a letter that is not an int in 1..rank does.
+    """
+    if not is_ordered(word):
+        raise WordLetterError(f"word {word!r} is not a sequence of letters")
     lay = _layout(spec)
     # One pass over plain ints in 1..rank, the keys of lay.reflection; any
     # other letter goes to the per-letter loop, which names the first bad one

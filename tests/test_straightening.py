@@ -330,8 +330,8 @@ def test_orbit_memo_keeps_the_term_ceiling(monkeypatch):
     monkeypatch.setattr(characters, "DEFAULT_TERM_CEILING", 10)
     with pytest.raises(CharacterBudgetExceeded):
         is_multiplicity_free(d4, rho, w0, ())
-    low = witness_search(d4, w0, (2,), coeff_cap=1)
-    assert low != found
+    with pytest.raises(CharacterBudgetExceeded, match="12 of 15 weights lambda"):
+        witness_search(d4, w0, (2,), coeff_cap=1)
     monkeypatch.setattr(characters, "DEFAULT_TERM_CEILING", 5_000_000)
     assert is_multiplicity_free(d4, rho, w0, ()) == warm
     assert witness_search(d4, w0, (2,), coeff_cap=1) == found

@@ -123,6 +123,8 @@ def test_indices_that_are_not_ints_are_named_so():
         (lambda: classify(a2, from_word(a2, [1]), {1.0}), ValueError,
          "node indices [1.0]: 1.0 is not an int"),
         (lambda: from_word(a2, "12"), WordLetterError,
+         "word '12' is not a sequence of letters"),
+        (lambda: from_word(a2, ["1", "2"]), WordLetterError,
          "letter '1' at position 1 is not an int"),
         (lambda: demazure_op(a2, char, "1"), ValueError,
          "node index '1' is not an int"),
@@ -237,19 +239,19 @@ def test_character_commands_respect_term_ceiling(capsys, monkeypatch, command, e
 
 
 def test_witness_command_respects_term_ceiling(capsys, monkeypatch):
-    # At 10 terms every lambda is skipped, so the search that finds a
-    # witness under the default ceiling ends without a verdict.
+    # At 10 terms 54 of the 80 lambda are skipped, the witness (1, 1, 0, 0)
+    # among them, so the search that finds a witness under the default
+    # ceiling ends without a verdict, and says how many it skipped.
     monkeypatch.setattr(characters, "DEFAULT_TERM_CEILING", 10)
     code, out, err = run_cli(
         capsys, "witness", "--type", "D4", "--word", "3 2 3 4 2 1 2",
         "--levi", "2 3",
     )
-    assert code == 3
-    assert json.loads(out) == {
-        "found": False,
-        "coeff_cap": characters.DEFAULT_WITNESS_CAP,
-        "lambda_budget": characters.DEFAULT_LAMBDA_BUDGET,
-    }
+    assert code == 3 and out == ""
+    assert err == (
+        "budget exhausted: witness search inconclusive: 54 of 80 weights "
+        "lambda passed the 10-term ceiling\n"
+    )
 
 
 def test_one_term_ceiling_and_lambda_budget_bound_every_character_path(monkeypatch):
@@ -278,12 +280,109 @@ def test_one_term_ceiling_and_lambda_budget_bound_every_character_path(monkeypat
     # pi_2 on the 183-term character touches more than 10 weights.
     with pytest.raises(CharacterBudgetExceeded):
         demazure_op(d4, char, 2)
-    assert witness_search(d4, w, (2, 3)) is None
-    report = cross_check(d4, [rec], [lam], sample=1.0)
-    assert (report.witness_found, report.witness_inconclusive) == (0, 1)
+    # A search that skipped a lambda and found no witness says so; it does
+    # not return the None of a search that tried every lambda.
+    with pytest.raises(CharacterBudgetExceeded, match="54 of 80 weights lambda"):
+        witness_search(d4, w, (2, 3))
+    with pytest.raises(CharacterBudgetExceeded, match="54 of 80 weights lambda"):
+        cross_check(d4, [rec], [lam], sample=1.0)
     monkeypatch.undo()
     monkeypatch.setattr(characters, "DEFAULT_LAMBDA_BUDGET", 1)
     assert witness_search(d4, w, (2, 3)) is None
+
+
+def test_a_skipped_lambda_hides_no_witness_and_is_counted():
+    # lambda skipped before the first witness (1, 1, 0, 0) do not hide it;
+    # a search that skips every lambda past grade 1 finds no witness among
+    # the 4 it tries, and names its 76 skips.
+    d4 = spec_of("D4")
+    multiplicities = characters._levi_straightener(
+        d4, from_word(d4, [3, 2, 3, 4, 2, 1, 2]), (2, 3)
+    )
+
+    def skipping(skip):
+        def straightener(lam):
+            if skip(lam):
+                raise CharacterBudgetExceeded("skipped")
+            return multiplicities(lam)
+
+        return straightener
+
+    early = skipping(lambda lam: lam in {(0, 0, 0, 1), (0, 2, 0, 0)})
+    found = characters._first_witness(early, 4, 2)
+    assert found == characters.Witness((1, 1, 0, 0), (0, 1, 1, -1), 2)
+    late = skipping(lambda lam: sum(lam) >= 2)
+    with pytest.raises(CharacterBudgetExceeded, match="^witness search .*: 76 of 80 "):
+        characters._first_witness(late, 4, 2)
+
+
+def _a2_records(a2):
+    return list(census_records(a2, start_census(a2)))
+
+
+# Stand-ins for ordered input that carry no order a caller wrote, or that a
+# single read uses up: each one would be read in its iteration order.
+_UNORDERED = {
+    "set": set,
+    "frozenset": frozenset,
+    "dict": dict.fromkeys,
+    "generator": lambda items: (x for x in items),
+}
+
+# Each takes A2 and a form from _UNORDERED, applied to the ordered input.
+_ORDERED_INPUT = {
+    "from_word": lambda a2, form: from_word(a2, form((2, 1))),
+    "demazure_char": lambda a2, form: demazure_char(
+        a2, form((2, 0)), from_word(a2, [1, 2, 1])
+    ),
+    "levi_irreducible_char": lambda a2, form: levi_irreducible_char(
+        a2, form((2, 0)), [1]
+    ),
+    "reflect_weight": lambda a2, form: characters.reflect_weight(a2, form((2, 0)), 1),
+    "decompose_demazure": lambda a2, form: decompose_demazure(
+        a2, form((2, 0)), from_word(a2, [1, 2, 1]), [1, 2]
+    ),
+    "is_multiplicity_free": lambda a2, form: is_multiplicity_free(
+        a2, form((2, 0)), from_word(a2, [1, 2, 1]), [1, 2]
+    ),
+    "monomial": lambda a2, form: characters.WeightPoly.monomial(form((2, 0))),
+    "coeff": lambda a2, form: characters.WeightPoly({(2, 0): 1}).coeff(
+        form((2, 0))
+    ),
+    "battery": lambda a2, form: cross_check(
+        a2, _a2_records(a2), form(((1, 1), (2, 0)))
+    ),
+    "battery-weight": lambda a2, form: cross_check(
+        a2, _a2_records(a2), [(1, 1), form((2, 0))]
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call,form",
+    [
+        (call, form)
+        for call in _ORDERED_INPUT.values()
+        for form in _UNORDERED.values()
+    ]
+    + [
+        (lambda a2, key: demazure_op(a2, characters.WeightPoly({key: 1}), 1),
+         frozenset((2, 0))),
+        (lambda a2, key: characters.decompose_levi(
+            a2, characters.WeightPoly({key: 1}), ()),
+         frozenset((2, 0))),
+    ],
+    ids=[f"{name}-{kind}" for name in _ORDERED_INPUT for kind in _UNORDERED]
+    + ["demazure_op-frozenset-key", "decompose_levi-frozenset-key"],
+)
+def test_ordered_input_is_exactly_a_list_or_tuple(call, form):
+    # A word, a weight and a battery are read in order, so only a list or
+    # a tuple is taken; any other iterable is refused, not read in its
+    # iteration order ({2, 0} would be the weight (0, 2)).
+    with pytest.raises(ValueError) as info:
+        call(spec_of("A2"), form)
+    if call is _ORDERED_INPUT["from_word"]:
+        assert type(info.value) is WordLetterError
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
